@@ -225,14 +225,28 @@ ForwardWorkspace::stageGather(
 }
 
 const Tensor&
-ForwardWorkspace::stageCompute(const DlrmModel& model, std::size_t set)
+ForwardWorkspace::stageCompute(const DlrmModel& model, std::size_t set,
+                               EmbDtype dtype)
 {
     StageBuffers& s = _sets[set];
-    model.bottomMlp().forward(s.dense, s.bottomOut, s.mlpA, s.mlpB);
-    model.interactionForwardTransposed(s.bottomOut, s.embOut, s.batch,
-                                       s.interOutT, s.embPtrs);
-    model.topMlp().forwardFromTransposed(s.interOutT, s.pred, s.mlpA,
-                                         s.mlpB);
+    if (dtype == EmbDtype::Int8) {
+        // The u8·s8 engine has no feature-major entry point: run
+        // forward()'s exact Int8 sequence so the streamed and fused
+        // paths serve the same bits.
+        model.bottomMlp().forwardInt8(s.dense, s.bottomOut, s.mlpA,
+                                      s.mlpB, s.qact);
+        model.interactionForward(s.bottomOut, s.embOut, s.batch,
+                                 s.interOut, s.embPtrs);
+        model.topMlp().forwardInt8(s.interOut, s.pred, s.mlpA, s.mlpB,
+                                   s.qact);
+    } else {
+        model.bottomMlp().forward(s.dense, s.bottomOut, s.mlpA, s.mlpB);
+        model.interactionForwardTransposed(s.bottomOut, s.embOut,
+                                           s.batch, s.interOutT,
+                                           s.embPtrs);
+        model.topMlp().forwardFromTransposed(s.interOutT, s.pred, s.mlpA,
+                                             s.mlpB);
+    }
     sigmoidInplace(s.pred.data(), s.pred.size());
     _lastCompute = set;
     return s.pred;

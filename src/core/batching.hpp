@@ -171,9 +171,7 @@ class ForwardWorkspace
      * @param dtype Inference precision (see DlrmModel::forward):
      *        Bf16 swaps in the bf16 fused-dequant bags, Int8 the int8
      *        bags plus the u8·s8 MLP engine staged through the set's
-     *        qact buffer. (The streamed pipeline quantizes only its
-     *        gather stage — see stageGather — its compute stages run
-     *        fp32.)
+     *        qact buffer.
      * @param tier Optional hot tier for the embedding stage (see
      *        DlrmModel::embeddingForward); bitwise-identical output
      *        with or without it.
@@ -223,9 +221,9 @@ class ForwardWorkspace
      *
      * @param dtype Precision of the embedding bags (the stage this
      *        lane exists to overlap is exactly the bandwidth-bound
-     *        one quantization accelerates). The compute stages stay
-     *        fp32 regardless — pooled bag outputs are fp32 at every
-     *        precision, so the handoff is unchanged.
+     *        one quantization accelerates). Pooled bag outputs are
+     *        fp32 at every precision, so the handoff is unchanged;
+     *        pass the same dtype to stageCompute.
      * @param tier Optional hot tier for the staged bags (see
      *        DlrmModel::embeddingForward).
      */
@@ -239,10 +237,13 @@ class ForwardWorkspace
     /**
      * Pipeline compute stage over rotation set @p set: bottom MLP,
      * feature-major interaction, top MLP through the n-major packed
-     * engine, sigmoid. Returns the set's prediction tensor
-     * [batch x 1]; bitwise-identical to forward() on the same inputs.
+     * engine, sigmoid. At EmbDtype::Int8 the MLPs run the u8·s8
+     * engine over the row-major interaction, exactly as forward()
+     * does. Returns the set's prediction tensor [batch x 1];
+     * bitwise-identical to forward() on the same inputs and dtype.
      */
-    const Tensor& stageCompute(const DlrmModel& model, std::size_t set);
+    const Tensor& stageCompute(const DlrmModel& model, std::size_t set,
+                               EmbDtype dtype = EmbDtype::Fp32);
 
     /**
      * Resets the rotation so the next stageGather uses set 0

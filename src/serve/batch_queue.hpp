@@ -15,10 +15,10 @@
  *  - **deadline**: the whole group must finish by the *tightest*
  *    member deadline under the batch-size-aware service estimate
  *    serviceMs(total samples) — a request is never coalesced past its
- *    deadline. Retries are always *admitted* (matching the unbatched
- *    path) but still carry a fresh SLA-derived deadline from their
- *    backoff expiry, so a stale retry bounds its group like any other
- *    member instead of being exempt from the deadline check.
+ *    deadline. Retries are always *admitted* (as with batching off)
+ *    but still carry a fresh SLA-derived deadline from their backoff
+ *    expiry, so a stale retry bounds its group like any other member
+ *    instead of being exempt from the deadline check.
  *
  * In the default single-tenant mode every request shares one queue
  * and the SLA offset passed to nextBatch(). The weighted-fair mode

@@ -9,13 +9,15 @@
  * any tier starts shrinking batches or shedding requests outright:
  *
  *   tier 0  fp32, full batch, prefetching on, MP-HT stage overlap
+ *           (a streamed session's gather/compute pipeline)
  *   tier 1  bf16 embedding bags (half the bag bandwidth; MLPs fp32)
  *   tier 2  int8 embedding bags + u8·s8 MLP engine
  *   tier 3  + batch shrunk to half (sheds work per request)
  *   tier 4  + software-prefetch autotuning disabled (fixed kernel, no
  *             tuning overhead or mistuned-prefetch cache pollution)
- *   tier 5  + Sequential execution scheme (no cross-thread stage
- *             handoff; the most predictable path)
+ *   tier 5  + Sequential execution scheme (a streamed session
+ *             drains its pipeline: no cross-thread stage handoff;
+ *             the most predictable path)
  *
  * Escalation happens when the window p95 exceeds the high-water
  * fraction of the SLA; de-escalation when it stays below the

@@ -4,22 +4,27 @@
  * Sec. 6.5 evaluation implies but the queue simulator only models.
  *
  * Each request is one inference batch drawn from a Poisson arrival
- * stream. The server:
+ * stream. One event loop, driven by a BatchQueue, serves every mode;
+ * the modes differ only in per-session rules. The server:
  *
  *  - enforces per-request deadlines with admission control: a request
- *    whose projected queue wait already blows the SLA is shed on
+ *    whose projected completion already blows the SLA is shed on
  *    arrival (load shedding, counted in ServeStats::shed);
  *  - optionally coalesces queued requests into larger dispatches
  *    (ServerConfig::batching + serve/batch_queue.hpp), bounded by the
  *    tightest member deadline, amortizing the per-dispatch fixed cost
- *    captured by the batch-size-aware ServiceModel — the coalesced
- *    forward runs allocation-free through a persistent
- *    core::ForwardWorkspace and is bitwise-identical to per-request
+ *    captured by the batch-size-aware ServiceModel; with batching off
+ *    the coalescing cap is 1 and every request dispatches alone;
+ *  - executes every dispatch as *real* DLRM inference through one
+ *    persistent core::ForwardWorkspace on an exception-safe
+ *    HtThreadPool — one fused forward per dispatch, allocation-free
+ *    in the steady state and bitwise-identical to per-request
  *    execution;
- *  - executes admitted requests as *real* DLRM inference on an
- *    exception-safe HtThreadPool using the paper's MP-HT stage
- *    colocation (falling back to sequential execution in the deepest
- *    degradation tier);
+ *  - optionally stage-pipelines dispatches (ServerConfig::streamed):
+ *    the same loop keeps one dispatch in flight in the workspace's
+ *    second StageBuffers set, overlapping the next dispatch's
+ *    embedding gather with its interaction+MLP on a second core,
+ *    and drains it whenever the degradation tier drops overlap;
  *  - retries transiently failed requests with capped exponential
  *    backoff, giving up after maxRetries (counted in failed);
  *  - degrades gracefully under tail-latency pressure via
@@ -156,7 +161,8 @@ struct ServerConfig
     }
 
     /** Dynamic request coalescing (serve/batch_queue.hpp). Disabled
-     *  by default: every request dispatches alone. */
+     *  by default: a coalescing cap of 1, every request dispatching
+     *  alone. */
     BatchConfig batching;
 
     /**
@@ -164,12 +170,12 @@ struct ServerConfig
      * through two lanes on disjoint core groups — dispatch k+1's
      * memory-bound embedding gather overlaps dispatch k's
      * compute-bound interaction+MLP via the workspace's rotating
-     * StageBuffers. Steady-state per-dispatch cost drops from
-     * gather+compute to max(gather, compute); predictions stay
-     * bitwise-identical to serveBatched. Requires batching.enabled
-     * (the streamed loop is a batched event loop) and degrades to
-     * sequential dispatch whenever the degradation tier disables
-     * stage overlap or the instance has a single core.
+     * StageBuffers, one dispatch in flight. Steady-state per-dispatch
+     * cost drops from gather+compute to max(gather, compute);
+     * predictions stay bitwise-identical to the unstreamed batched
+     * session. Requires batching.enabled and drains to sequential
+     * dispatch whenever the degradation tier disables stage overlap
+     * or the instance has a single core.
      */
     bool streamed = false;
 
@@ -311,44 +317,15 @@ class Server
     /// @}
 
     /**
-     * Really executes one request attempt on @p core and returns the
-     * measured kernel wall time (ms). Throws whatever the stage tasks
-     * threw (injected faults, IndexError from poisoned indices, ...).
-     *
-     * serve() drives this internally; the multi-instance Router calls
-     * it directly, running its own cluster-level event loop while
-     * each instance keeps doing the real execution.
-     */
-    double executeAttempt(std::size_t core, const core::Tensor& dense,
-                          const core::SparseBatch& sparse,
-                          const DegradeState& tier,
-                          const core::PrefetchSpec& pf,
-                          std::uint64_t req, std::uint64_t attempt);
-
-    /**
-     * executeAttempt with an explicit fault injector (overriding the
-     * constructor-supplied one for this attempt; null = no faults)
-     * and an optional prediction fingerprint out-parameter. The
-     * Router uses the override to apply time-varying FaultSchedule
-     * phases, and the fingerprint (an order-sensitive mix64 chain
-     * over the prediction bit patterns) to assert that a resilient
-     * session serves bitwise-correct answers.
-     */
-    double executeAttempt(std::size_t core, const core::Tensor& dense,
-                          const core::SparseBatch& sparse,
-                          const DegradeState& tier,
-                          const core::PrefetchSpec& pf,
-                          std::uint64_t req, std::uint64_t attempt,
-                          const FaultInjector *fault,
-                          std::uint64_t *pred_fp);
-
-    /**
-     * Runs one coalesced dispatch on @p core through the persistent
+     * Runs one dispatch on @p core through the persistent
      * ForwardWorkspace and returns the measured kernel wall ms; the
      * workspace grows on demand when the group exceeds its current
-     * capacity. Throws whatever the pool task threw. serveBatched
-     * drives this internally; the multi-tenant fleet calls it
-     * directly from its own cluster-level event loop.
+     * capacity. Throws whatever the pool task threw. This is the one
+     * fused execution path: serve() drives it for every dispatch it
+     * does not stage-overlap, the Router and the multi-tenant fleet
+     * call it from their own cluster-level event loops.
+     *
+     * @throws std::invalid_argument on a zero-sample part.
      */
     double executeBatchedAttempt(
         std::size_t core,
@@ -363,15 +340,22 @@ class Server
      * never mixes versions within a batch: the whole dispatch runs on
      * whichever model it started with. @p model must share the bound
      * model's architecture (workspace geometry is config-derived).
+     *
+     * A non-null @p fault raises its task fault for attempt
+     * (@p req, @p attempt) inside the pool task, before the forward,
+     * so the pool's CoreHealth counts it like any task failure — how
+     * a lone request attempt meets its injected faults.
      */
     double executeBatchedAttempt(
         std::size_t core,
         const std::vector<const core::SparseBatch *>& parts,
         const std::vector<const core::Tensor *>& dense_parts,
         const DegradeState& tier, const core::PrefetchSpec& pf,
-        const core::DlrmModel& model);
+        const core::DlrmModel& model,
+        const FaultInjector *fault = nullptr, std::uint64_t req = 0,
+        std::uint64_t attempt = 0);
 
-    /** Predictions of the last executeBatchedAttempt dispatch. */
+    /** Predictions of the last dispatch, fused or streamed. */
     const core::Tensor& lastPredictions() const
     {
         return _batchWs.predictions();
@@ -411,35 +395,6 @@ class Server
     }
 
   private:
-    /**
-     * Event loop used when cfg.batching.enabled: a BatchQueue
-     * coalesces queued requests up to the tier-shrunk cap / linger /
-     * tightest member deadline, and each dispatch runs one coalesced
-     * forward through the persistent ForwardWorkspace (zero heap
-     * allocations in the steady state when no fault injector forces
-     * per-attempt batch copies).
-     */
-    ServeStats serveBatched(const core::Tensor& dense,
-                            const std::vector<core::SparseBatch>& batches,
-                            const std::vector<double>& arrivals_ms,
-                            const core::PrefetchSpec& pf);
-
-    /**
-     * Event loop used when cfg.streamed: like serveBatched, but the
-     * dispatch is split across a gather lane and a compute lane on
-     * disjoint cores. While dispatch k's compute stage runs, dispatch
-     * k+1's gather stage fills the sibling StageBuffers set — really
-     * overlapped on the pool *and* priced as overlapped on the
-     * virtual clock (gather_start >= the compute end two dispatches
-     * back enforces the two-set ring). A faulted in-flight stage
-     * fails only its own dispatch's members; the sibling set is
-     * untouched.
-     */
-    ServeStats serveStreamed(const core::Tensor& dense,
-                             const std::vector<core::SparseBatch>& batches,
-                             const std::vector<double>& arrivals_ms,
-                             const core::PrefetchSpec& pf);
-
     const core::DlrmModel& _model;
     ServerConfig _cfg;
     const FaultInjector *_fault;
@@ -448,8 +403,8 @@ class Server
     std::uint64_t _restarts = 0;
     std::size_t _activeCores = 0; //!< set from numCores() at build
 
-    /** Preallocated batched-forward scratch, sized on first batched
-     *  session and reused for every dispatch thereafter. */
+    /** Preallocated forward scratch, sized on the first session and
+     *  reused for every dispatch thereafter. */
     core::ForwardWorkspace _batchWs;
     std::vector<core::PredictionSpan> _splitScratch;
 

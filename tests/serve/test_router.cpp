@@ -294,6 +294,13 @@ TEST_F(RouterTest, RejectsBadConfigsAndInputs)
                   sched::Topology::synthetic(4, 2), cfg);
     EXPECT_THROW(router.serve(dense, {}, {0.0}),
                  std::invalid_argument);
+    // A zero-sample request is malformed input, not a retryable
+    // attempt failure.
+    core::SparseBatch none;
+    none.indices.assign(smallModel().tables, {});
+    none.offsets.assign(smallModel().tables, {0});
+    EXPECT_THROW(router.serve(dense, {none}, {0.0}),
+                 std::invalid_argument);
 
     // More injectors than instances: the extras could never fire, so
     // the config is almost certainly a mistake. (Injectors are NOT

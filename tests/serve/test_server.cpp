@@ -456,4 +456,47 @@ TEST_F(ServerTest, RejectsBadConfigsAndInputs)
     EXPECT_THROW(srv.serve(dense, {}, {0.0}), std::invalid_argument);
 }
 
+/** A structurally valid request carrying no samples. */
+core::SparseBatch
+zeroSampleBatch()
+{
+    core::SparseBatch z;
+    z.batchSize = 0;
+    z.indices.assign(smallModel().tables, {});
+    z.offsets.assign(smallModel().tables, {0});
+    return z;
+}
+
+TEST_F(ServerTest, ServeRejectsAZeroSampleRequest)
+{
+    const core::SparseBatch z = zeroSampleBatch();
+    ASSERT_TRUE(z.valid(smallModel().rows));
+    for (const bool batching : {false, true}) {
+        ServerConfig cfg;
+        cfg.batching.enabled = batching;
+        Server srv(model, sched::Topology::synthetic(2, 2), cfg);
+        EXPECT_THROW(srv.serve(dense, {batches[0], z}, {0.0, 0.5}),
+                     std::invalid_argument)
+            << "batching " << batching;
+    }
+}
+
+TEST_F(ServerTest, ExecuteBatchedAttemptRejectsAZeroSamplePart)
+{
+    const core::SparseBatch z = zeroSampleBatch();
+    ASSERT_TRUE(z.valid(smallModel().rows));
+    Server srv(model, sched::Topology::synthetic(2, 2), ServerConfig{});
+    const core::Tensor none(0, smallModel().denseDim());
+    EXPECT_THROW(srv.executeBatchedAttempt(
+                     0, {&z}, {&none}, DegradationPolicy::stateForTier(0),
+                     core::PrefetchSpec{}),
+                 std::invalid_argument);
+    // Nor may a zero-sample member hide inside a coalesced group.
+    EXPECT_THROW(srv.executeBatchedAttempt(
+                     0, {&batches[0], &z}, {&dense, &none},
+                     DegradationPolicy::stateForTier(0),
+                     core::PrefetchSpec{}),
+                 std::invalid_argument);
+}
+
 } // namespace

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the stage-pipelined streaming dispatch (serveStreamed):
+ * Tests for the stage-pipelined streaming dispatch
+ * (ServerConfig::streamed):
  * per-stage service pricing (StageServiceModel), real gather/compute
  * overlap on disjoint cores, steady-state makespan tracking the
  * bottleneck stage, fault containment mid-pipeline, degradation
@@ -238,29 +239,43 @@ TEST_F(StreamedTest, SingleCoreCollapsesToSequentialDispatch)
 
 TEST_F(StreamedTest, StreamedPredictionsMatchBatchedBitwise)
 {
-    // The same request stream through serveStreamed and serveBatched
-    // must leave bitwise-identical predictions for the final dispatch
-    // (both paths resolve to the same coalesced groups on the same
-    // virtual clock, and the pipelined kernels are bit-stable).
-    ServerConfig cfg = streamedConfig();
+    // The same request stream, streamed and unstreamed, must leave
+    // bitwise-identical predictions for the final dispatch at every
+    // serving precision (both resolve to the same coalesced groups on
+    // the same virtual clock, and the pipelined compute stage runs
+    // the fused forward's kernels at the dispatch's dtype — the u8·s8
+    // engine included).
+    core::DlrmModel m(smallModel(), 11);
+    m.attachQuantizedStore(core::EmbeddingStore::create(
+        smallModel(), 11, 256, core::EmbDtype::Bf16));
+    m.attachQuantizedStore(core::EmbeddingStore::create(
+        smallModel(), 11, 256, core::EmbDtype::Int8));
     const std::vector<double> arrivals(12, 0.0);
 
-    Server streamed(model, sched::Topology::synthetic(2, 2), cfg);
-    const auto ss = streamed.serve(dense, batches, arrivals);
-    ASSERT_EQ(ss.served, 12u);
-    const core::Tensor& sp = streamed.lastPredictions();
-    const std::vector<float> want(sp.data(), sp.data() + sp.size());
+    for (const core::EmbDtype dtype :
+         {core::EmbDtype::Fp32, core::EmbDtype::Bf16,
+          core::EmbDtype::Int8}) {
+        SCOPED_TRACE(static_cast<int>(dtype));
+        ServerConfig cfg = streamedConfig();
+        cfg.dtype = dtype;
 
-    ServerConfig plain = cfg;
-    plain.streamed = false;
-    Server batched(model, sched::Topology::synthetic(2, 2), plain);
-    const auto bs = batched.serve(dense, batches, arrivals);
-    ASSERT_EQ(bs.served, 12u);
-    const core::Tensor& bp = batched.lastPredictions();
+        Server streamed(m, sched::Topology::synthetic(2, 2), cfg);
+        const auto ss = streamed.serve(dense, batches, arrivals);
+        ASSERT_EQ(ss.served, 12u);
+        const core::Tensor& sp = streamed.lastPredictions();
+        const std::vector<float> want(sp.data(), sp.data() + sp.size());
 
-    ASSERT_EQ(bp.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i)
-        ASSERT_EQ(want[i], bp.data()[i]) << "prediction " << i;
+        ServerConfig plain = cfg;
+        plain.streamed = false;
+        Server batched(m, sched::Topology::synthetic(2, 2), plain);
+        const auto bs = batched.serve(dense, batches, arrivals);
+        ASSERT_EQ(bs.served, 12u);
+        const core::Tensor& bp = batched.lastPredictions();
+
+        ASSERT_EQ(bp.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i)
+            ASSERT_EQ(want[i], bp.data()[i]) << "prediction " << i;
+    }
 }
 
 // ---------------------------------------------------------------------------
