@@ -18,10 +18,20 @@
  * coalescing, pricing, fault resolution, retry, degradation or the
  * served bits shows up here as a mismatch, with the session's
  * counters printed alongside so the drift can be located.
+ *
+ * The cluster paths are pinned the same way: Router sessions with a
+ * partial drain and background scrubbing fold in availability, the
+ * partial-drain and lifecycle-shed counters and the scrub counters,
+ * and two-tenant TenantFleet sessions — static and elastic capacity
+ * under every chaos scenario, a hot tier under corruption and an
+ * elastic session with a committing live reload — fold in every
+ * per-tenant, lifecycle, capacity, scrub, tier and reload counter,
+ * the instance-ms integral and the latency sequence.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +42,7 @@
 #include "core/dlrm.hpp"
 #include "core/embedding_store.hpp"
 #include "serve/fault_schedule.hpp"
+#include "serve/fleet.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
@@ -270,7 +281,7 @@ class ServeGolden : public ::testing::Test
      *  its counters into @p what. */
     std::uint64_t
     routerSession(RoutePolicy policy, const std::string& scenario,
-                  std::string& what)
+                  std::string& what, bool drain_and_scrub = false)
     {
         RouterConfig cfg;
         cfg.instances = 2;
@@ -284,20 +295,30 @@ class ServeGolden : public ::testing::Test
         cfg.hedging = true;
         cfg.integrity.enabled = true;
         cfg.integrity.repair = true;
+        if (drain_and_scrub) {
+            cfg.partialDrainCores = 1;
+            cfg.scrub.enabled = true;
+            cfg.scrub.intervalMs = 1.0;
+            cfg.scrub.blocksPerTick = 2;
+        }
 
         FaultConfig fc;
         fc.seed = 23;
         fc.taskExceptionRate = 0.2;
         fc.corruptIndexRate = 0.1;
         const FaultInjector inj(fc);
+        // Static faults on every instance keep pinned retries in
+        // flight when a crash lands, so a partial drain has work.
+        std::vector<const FaultInjector *> faults;
+        if (drain_and_scrub)
+            faults = {&inj, &inj};
+        else if (scenario.empty())
+            faults = {&inj};
 
         const auto arrivals = PoissonLoadGen(0.5, 13).arrivals(150);
         auto store = core::EmbeddingStore::createMutable(smallModel(), 11);
         Router router(smallModel(), store,
-                      sched::Topology::synthetic(4, 2), cfg,
-                      scenario.empty()
-                          ? std::vector<const FaultInjector *>{&inj}
-                          : std::vector<const FaultInjector *>{});
+                      sched::Topology::synthetic(4, 2), cfg, faults);
         const auto script = scenario.empty()
             ? FaultSchedule()
             : FaultSchedule::chaosScenario(scenario, 2, arrivals.back(),
@@ -315,6 +336,16 @@ class ServeGolden : public ::testing::Test
             d.add(c);
         }
         d.addMs(rs.makespanMs);
+        if (drain_and_scrub) {
+            for (const double a : rs.availability)
+                d.addMs(a * rs.makespanMs);
+            for (const std::uint64_t c :
+                 {std::uint64_t{rs.partialDrainServed},
+                  std::uint64_t{rs.lifecycleShed}, rs.blocksScrubbed,
+                  rs.scrubCorruptions, rs.scrubRepairs, rs.scrubSweeps}) {
+                d.add(c);
+            }
+        }
 
         // Reference predictions: a pristine replica (same store seed,
         // the Router's default model seed) running the plain forward.
@@ -347,6 +378,132 @@ class ServeGolden : public ::testing::Test
                       rs.hedges, rs.crashes, rs.restarts,
                       rs.corruptionsDetected, wrong);
         what = describe(rs.total) + buf;
+        if (drain_and_scrub) {
+            std::snprintf(buf, sizeof(buf),
+                          " | drain-served %zu lifecycle-shed %zu "
+                          "scrubbed %llu",
+                          rs.partialDrainServed, rs.lifecycleShed,
+                          static_cast<unsigned long long>(
+                              rs.blocksScrubbed));
+            what += buf;
+        }
+        return d.value();
+    }
+
+    /** One two-tenant TenantFleet session on 2 instances of 2 cores,
+     *  returning its digest and describing its counters into
+     *  @p what. */
+    std::uint64_t
+    fleetSession(const FleetConfig& cfg, const std::string& scenario,
+                 const std::vector<ReloadEvent>& reloads,
+                 std::string& what)
+    {
+        const auto tenantModel = [](const char *name,
+                                    std::size_t rows) {
+            core::ModelConfig m = smallModel();
+            m.name = name;
+            m.rows = rows;
+            m.tables = 2;
+            return m;
+        };
+        const auto makeTenant = [&](const char *name, std::size_t rows,
+                                    double sla_ms, double weight) {
+            TenantConfig t;
+            t.name = name;
+            t.model = tenantModel(name, rows);
+            t.slaMs = sla_ms;
+            t.weight = weight;
+            t.service = ServiceModel{1.0, 0.12};
+            t.truth = ServiceTimeline(ServiceModel{1.0, 0.12});
+            return t;
+        };
+        TenantRegistry reg;
+        reg.add(makeTenant("ranking", 4096, 12.0, 2.0));
+        reg.add(makeTenant("retrieval", 2048, 20.0, 1.0));
+
+        // Two bursts that overload one instance, each followed by a
+        // lull an elastic fleet scales down through.
+        const auto stream = [](std::uint64_t seed) {
+            std::vector<double> a;
+            double t0 = 0.0;
+            for (std::uint64_t phase = 0; phase < 2; ++phase) {
+                for (const double t :
+                     PoissonLoadGen(0.12, seed + 2 * phase).arrivals(100))
+                    a.push_back(t0 + t);
+                t0 = a.back() + 1.0;
+                for (const double t :
+                     PoissonLoadGen(4.0, seed + 2 * phase + 1).arrivals(12))
+                    a.push_back(t0 + t);
+                t0 = a.back() + 1.0;
+            }
+            return a;
+        };
+        std::vector<TenantWorkload> work;
+        for (std::size_t k = 0; k < 2; ++k) {
+            traces::TraceConfig tc = traces::TraceConfig::forModel(
+                reg.tenant(k).model, traces::Hotness::Medium, 5 + k);
+            tc.batchSize = 4;
+            traces::TraceGenerator gen(tc);
+            TenantWorkload w;
+            for (std::size_t b = 0; b < 8; ++b)
+                w.batches.push_back(gen.batch(b));
+            w.dense.reshape(4, reg.tenant(k).model.denseDim());
+            w.dense.randomize(5 + k);
+            w.arrivalsMs = stream(31 + 2 * k);
+            work.push_back(std::move(w));
+        }
+
+        TenantFleet fleet(reg, sched::Topology::synthetic(4, 2), cfg);
+        const double session = std::max(work[0].arrivalsMs.back(),
+                                        work[1].arrivalsMs.back());
+        const auto script = scenario.empty()
+            ? FaultSchedule()
+            : FaultSchedule::chaosScenario(scenario, 2, session, 7);
+        const FleetStats fs = fleet.serve(
+            work, core::PrefetchSpec::paperDefault(), &script, reloads);
+
+        Digest d;
+        d.add(digestOf(fs.total));
+        for (const TenantStats& t : fs.perTenant) {
+            d.add(digestOf(t.stats));
+            for (const std::size_t c :
+                 {t.budgetShed, t.deadlineShed, t.compliant})
+                d.add(c);
+        }
+        for (const std::size_t c :
+             {fs.compliant, fs.budgetShed, fs.deadlineShed,
+              fs.lifecycleShed, fs.scaleUps, fs.scaleDowns, fs.crashes,
+              fs.restarts, fs.recalibrations, fs.reloadsStarted,
+              fs.reloadsCommitted, fs.reloadsRolledBack, fs.reloadsFailed,
+              fs.shadowedRequests, fs.versionSwaps, fs.versionsRetired}) {
+            d.add(c);
+        }
+        for (const double t : fs.scaleDownAtMs)
+            d.addMs(t);
+        for (const std::uint64_t c :
+             {fs.blocksScrubbed, fs.scrubCorruptions, fs.scrubRepairs,
+              fs.scrubSweeps, fs.tierHits, fs.tierMisses,
+              fs.tierPromotions, fs.tierDemotions, fs.tierCorruptions,
+              fs.tierQuarantined, fs.tierRepaired}) {
+            d.add(c);
+        }
+        for (const std::uint64_t v : fs.finalVersions)
+            d.add(v);
+        d.addMs(fs.instanceMsUp);
+        d.addMs(fs.makespanMs);
+
+        char buf[400];
+        std::snprintf(
+            buf, sizeof(buf),
+            " | ups %zu downs %zu crashes %zu restarts %zu lifecycle-shed "
+            "%zu instance-ms %.6f scrubbed %llu tier-hits %llu reloads "
+            "%zu/%zu",
+            fs.scaleUps, fs.scaleDowns, fs.crashes, fs.restarts,
+            fs.lifecycleShed, fs.instanceMsUp,
+            static_cast<unsigned long long>(fs.blocksScrubbed),
+            static_cast<unsigned long long>(fs.tierHits),
+            fs.reloadsCommitted, fs.reloadsStarted);
+        what = describe(fs.total) + buf;
         return d.value();
     }
 
@@ -453,5 +610,117 @@ TEST_F(ServeGolden, RouterChaos)
             << routePolicyName(c.policy) << " "
             << (*c.scenario ? c.scenario : "static-faults") << ": "
             << what;
+    }
+}
+
+
+TEST_F(ServeGolden, RouterPartialDrainAndScrub)
+{
+    struct RouterCase
+    {
+        RoutePolicy policy;
+        const char *scenario;
+        std::uint64_t digest;
+    };
+    const std::vector<RouterCase> cases = {
+        {RoutePolicy::RoundRobin, "crash-storm", 0xb78858027f5fa2ffull},
+        {RoutePolicy::RoundRobin, "rolling-corruption", 0xd49b862ca97b8e84ull},
+        {RoutePolicy::PowerOfTwo, "crash-storm", 0xd5cb221e742e1badull},
+        {RoutePolicy::PowerOfTwo, "rolling-corruption", 0xb9e14ba6b25dc776ull},
+        {RoutePolicy::HealthAware, "crash-storm", 0xe937891f5dc3f5a1ull},
+        {RoutePolicy::HealthAware, "rolling-corruption", 0x50bce60862f84a9bull},
+    };
+    for (const RouterCase& c : cases) {
+        std::string what;
+        const std::uint64_t got =
+            routerSession(c.policy, c.scenario, what, true);
+        EXPECT_EQ(hex(got), hex(c.digest))
+            << routePolicyName(c.policy) << " " << c.scenario << ": "
+            << what;
+    }
+}
+
+namespace
+{
+
+FleetConfig
+staticFleet()
+{
+    FleetConfig cfg;
+    cfg.instances = 2;
+    cfg.batching.enabled = true;
+    cfg.batching.maxRequests = 4;
+    cfg.batching.maxLingerMs = 0.3;
+    cfg.maxRetries = 2;
+    cfg.capacity.probationMs = 3.0;
+    return cfg;
+}
+
+FleetConfig
+elasticFleet()
+{
+    FleetConfig cfg = staticFleet();
+    cfg.capacity.elastic = true;
+    cfg.capacity.minInstances = 1;
+    cfg.capacity.windowMs = 5.0;
+    cfg.capacity.downLag = 2;
+    cfg.capacity.forecastDecay = 0.2;
+    cfg.capacity.partialDrainCores = 1;
+    cfg.capacity.drainGraceMs = 4.0;
+    return cfg;
+}
+
+} // namespace
+
+TEST_F(ServeGolden, FleetSessions)
+{
+    FleetConfig scrubbed = staticFleet();
+    scrubbed.scrub.enabled = true;
+    scrubbed.scrub.intervalMs = 1.0;
+    scrubbed.scrub.blocksPerTick = 2;
+
+    FleetConfig tiered = scrubbed;
+    tiered.hotTier.budgetBytes = 64 * 1024;
+    tiered.hotTier.minAccesses = 1;
+    tiered.hotTier.epochLookups = 200;
+
+    FleetConfig reloading = elasticFleet();
+    reloading.reload.loadMs = 2.0;
+    reloading.reload.shadowRequests = 2;
+    reloading.reload.shadowDriftBudget = 1.0;
+    reloading.reload.canaryWindowMs = 10.0;
+    reloading.reload.canaryMinSamples = 2;
+    reloading.reload.stageHoldMs = 3.0;
+    std::vector<ReloadEvent> push(1);
+    push[0].atMs = 12.0;
+    push[0].tenant = 0;
+    push[0].newVersion = 2;
+    push[0].weightSeed = 99;
+
+    struct FleetCase
+    {
+        const char *name;
+        FleetConfig cfg;
+        const char *scenario;
+        std::vector<ReloadEvent> reloads;
+        std::uint64_t digest;
+    };
+    const std::vector<FleetCase> cases = {
+        {"static", staticFleet(), "", {}, 0xf3aa1ee5a90a4b74ull},
+        {"static", staticFleet(), "crash-storm", {}, 0x287fc2caf6297656ull},
+        {"static+scrub", scrubbed, "rolling-corruption", {}, 0x926f77ab0b7522d5ull},
+        {"static", staticFleet(), "flapping-straggler", {}, 0x74d094d54ea327c9ull},
+        {"elastic", elasticFleet(), "", {}, 0x970ddfc8893e5df7ull},
+        {"elastic", elasticFleet(), "crash-storm", {}, 0x80c2f2e4c0ec2a8eull},
+        {"static+tier", tiered, "rolling-corruption", {}, 0x34b85550b00fb144ull},
+        {"elastic+reload", reloading, "", push, 0x3d86e2c09b5fda40ull},
+    };
+    for (const FleetCase& c : cases) {
+        std::string what;
+        const std::uint64_t got =
+            fleetSession(c.cfg, c.scenario, c.reloads, what);
+        EXPECT_EQ(hex(got), hex(c.digest))
+            << c.name << " " << (*c.scenario ? c.scenario : "no-faults")
+            << ": " << what;
     }
 }
