@@ -15,7 +15,7 @@
  *    the target utilization of the current Up set, scale down only
  *    after `downLag` consecutive low windows (hysteresis, so a
  *    momentary lull does not flap capacity). The fleet maps the
- *    desired count onto the PR-4 lifecycle machinery: Up -> Draining
+ *    desired count onto its InstanceSet lifecycle: Up -> Draining
  *    (optionally partial: a smaller core group serves residual
  *    traffic) -> Down, and Down -> WarmRestart -> Up after probation.
  *

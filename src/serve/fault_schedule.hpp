@@ -11,8 +11,8 @@
  *    (until a later phase supersedes it) the phase's injector decides
  *    task faults for the targeted instance (or all instances);
  *  - instance *lifecycle events*: scripted crash/recover timestamps
- *    that drive the Server Up -> Draining -> Down -> WarmRestart
- *    state machine from the Router's event loop;
+ *    that drive the InstanceSet Up -> Draining -> Down -> WarmRestart
+ *    state machine (serve/instance_set.hpp) of the Router or fleet;
  *  - stored-row *bit-flip events*: scripted silent corruption of one
  *    (table, row, bit) site in the shared EmbeddingStore, for the
  *    integrity/quarantine path.

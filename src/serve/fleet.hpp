@@ -27,10 +27,11 @@
  *
  *  - **Elastic adaptive capacity.** A CapacityController forecasts
  *    offered load over fixed virtual-time windows and resizes the Up
- *    set between minInstances and the slot count, driving the PR-4
- *    lifecycle machinery (Up -> Draining -> Down -> WarmRestart ->
- *    Up) with optional partial drains — a scale-down victim keeps a
- *    residual core group until its grace expires. In parallel, a
+ *    set between minInstances and the slot count through the same
+ *    InstanceSet lifecycle the Router drives (Up -> Draining -> Down
+ *    -> WarmRestart -> Up) with optional partial drains — a scale-down
+ *    victim keeps a residual core group until its grace expires past
+ *    its last dispatch. Drains are never called off. In parallel, a
  *    per-tenant ServiceModelRecalibrator refits the service estimate
  *    from observed dispatch times, so admission and forecasting track
  *    the scripted ServiceTimeline truth even when it drifts
@@ -245,8 +246,9 @@ struct FleetStats
  * Multi-tenant fleet over instance slots from Topology::partition().
  * Each slot hosts one Server (execution engine: private core pool,
  * persistent batched-forward workspace) per tenant over that tenant's
- * own EmbeddingStore; the fleet drives lifecycle, fair queueing,
- * capacity and recalibration from a single cluster-level event loop.
+ * own EmbeddingStore; the fleet drives a fresh InstanceSet per
+ * session plus fair queueing, capacity and recalibration from a single
+ * cluster-level event loop.
  */
 class TenantFleet
 {

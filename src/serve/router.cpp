@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <map>
 #include <queue>
 #include <stdexcept>
 #include <utility>
@@ -225,13 +224,21 @@ Router::build(const core::ModelConfig& model_cfg,
     _faults.resize(cfg.instances, nullptr);
     _models.reserve(cfg.instances);
     _servers.reserve(cfg.instances);
+    std::vector<std::size_t> cores;
     for (std::size_t i = 0; i < cfg.instances; ++i) {
         // Full-replica view: private MLP weights, shared tables.
         _models.push_back(std::make_unique<core::DlrmModel>(
             model_cfg, _store, model_seed));
         _servers.push_back(std::make_unique<Server>(
             *_models.back(), groups[i], cfg.server, _faults[i]));
+        cores.push_back(_servers.back()->numCores());
     }
+    // A crashed instance drains all-or-nothing onto a residual group
+    // with no grace: the group closes once its pinned work is done.
+    _lifecycle = InstanceSet(
+        std::move(cores),
+        InstanceSetConfig{cfg.partialDrainCores, 0.0, cfg.probationMs},
+        cfg.instances);
 }
 
 RouterStats
@@ -273,18 +280,12 @@ Router::serve(const core::Tensor& dense,
         rs.predFingerprints.assign(arrivals_ms.size(), 0);
 
     // Per-instance routing state, all advanced on the virtual clock.
-    std::vector<std::vector<double>> free_at(n);
     std::vector<WindowedP95> wins;
     std::vector<std::uint64_t> sheds(n, 0);
     std::vector<double> busy(n, 0.0);
     std::vector<CircuitBreaker> breakers;
-    std::vector<double> drain_ready(n, 0.0);
-    std::vector<double> probation_end(n, 0.0);
-    std::vector<double> down_since(n, 0.0);
-    std::vector<double> down_total(n, 0.0);
     std::size_t total_cores = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        free_at[i].assign(_servers[i]->numCores(), 0.0);
         wins.emplace_back(_cfg.healthWindow);
         breakers.emplace_back(_cfg.breaker);
         total_cores += _servers[i]->numCores();
@@ -292,7 +293,7 @@ Router::serve(const core::Tensor& dense,
 
     // Background checksum scrubbing: deterministic round-robin sweep
     // on the virtual clock, interleaved with scripted bit flips in
-    // exact time order below.
+    // exact time order by the lifecycle replay.
     std::unique_ptr<EmbeddingScrubber> scrubber;
     if (_cfg.scrub.enabled) {
         if (_mutableStore) {
@@ -304,146 +305,45 @@ Router::serve(const core::Tensor& dense,
         }
     }
 
-    // ---- Lifecycle machinery ------------------------------------
-    //
     // Scripted events apply lazily: the event loop pops attempts in
     // nondecreasing readyMs order, so folding in every scripted event
     // with atMs <= the current attempt's readyMs keeps the whole
     // session a pure function of (script, seeds).
-    std::size_t lc_cursor = 0;
-    std::size_t flip_cursor = 0;
-
-    const auto maxFreeAt = [&](std::size_t i) -> double {
-        double m = 0.0;
-        for (double f : free_at[i])
-            m = std::max(m, f);
-        return m;
+    InstanceHooks hooks;
+    hooks.restart = [&](std::size_t i, double) {
+        // O(weights) rebuild: fresh MLP weights from the same seed
+        // over the same shared store — the restarted replica is
+        // bitwise-identical to its pre-crash self, so predictions are
+        // unaffected.
+        *_models[i] = core::DlrmModel(_modelCfg, _store, _modelSeed);
+        // The rebuilt instance starts with a clean bill of health:
+        // stale pre-crash failures say nothing about the fresh
+        // weights. (Nothing consults the breaker until it is Up.)
+        if (use_breakers)
+            breakers[i].reset();
     };
-
-    // Draining -> Down once in-flight work ends; WarmRestart -> Up
-    // once probation passes.
-    const auto tickLifecycle = [&](double now) {
-        for (std::size_t i = 0; i < n; ++i) {
-            Server& srv = *_servers[i];
-            if (srv.lifecycleState() == InstanceState::Draining &&
-                now >= drain_ready[i]) {
-                srv.markDown();
-            }
-            if (srv.lifecycleState() == InstanceState::WarmRestart &&
-                now >= probation_end[i]) {
-                srv.completeWarmRestart();
-                ++rs.restarts;
-                // The instance was conceptually Up from the end of
-                // probation, however late this lazy tick fires.
-                down_total[i] += probation_end[i] - down_since[i];
-                // The rebuilt instance starts with a clean bill of
-                // health: stale pre-crash failures say nothing about
-                // the fresh weights.
-                if (use_breakers)
-                    breakers[i].reset();
-            }
-        }
+    hooks.flip = [&](const BitFlipEvent& e) {
+        _mutableStore->flipBit(e.table, e.row, e.bit);
     };
-
-    const auto applyEventsUpTo = [&](double now) {
-        tickLifecycle(now);
-        if (!schedule) {
-            if (scrubber)
-                scrubber->advanceTo(now);
-            return;
-        }
-        const auto& lc = schedule->lifecycleEvents();
-        while (lc_cursor < lc.size() && lc[lc_cursor].atMs <= now) {
-            const LifecycleEvent& e = lc[lc_cursor++];
-            Server& srv = *_servers[e.instance];
-            tickLifecycle(e.atMs);
-            if (e.kind == LifecycleEvent::Kind::Crash) {
-                if (srv.lifecycleState() == InstanceState::Up) {
-                    srv.beginDrain();
-                    // Partial drain: keep a residual core group open
-                    // for this instance's pinned retries instead of
-                    // orphaning them all at once.
-                    if (_cfg.partialDrainCores > 0) {
-                        srv.setActiveCores(
-                            std::min(_cfg.partialDrainCores,
-                                     srv.numCores()));
-                    }
-                    drain_ready[e.instance] =
-                        std::max(maxFreeAt(e.instance), e.atMs);
-                    down_since[e.instance] = e.atMs;
-                    ++rs.crashes;
-                }
-            } else { // Recover
-                if (srv.lifecycleState() == InstanceState::Draining)
-                    srv.markDown(); // outage outlived the drain
-                if (srv.lifecycleState() == InstanceState::Down) {
-                    srv.beginWarmRestart();
-                    // O(weights) rebuild: fresh MLP weights from the
-                    // same seed over the same shared store — the
-                    // restarted replica is bitwise-identical to its
-                    // pre-crash self, so predictions are unaffected.
-                    *_models[e.instance] = core::DlrmModel(
-                        _modelCfg, _store, _modelSeed);
-                    // The instance resumes with idle cores.
-                    std::fill(free_at[e.instance].begin(),
-                              free_at[e.instance].end(), e.atMs);
-                    probation_end[e.instance] =
-                        e.atMs + _cfg.probationMs;
-                }
-            }
-        }
-        tickLifecycle(now);
-        const auto& flips = schedule->bitFlipEvents();
-        while (flip_cursor < flips.size() &&
-               flips[flip_cursor].atMs <= now) {
-            const BitFlipEvent& e = flips[flip_cursor++];
-            // Scrub ticks scheduled before this flip run first, so a
-            // sweep never "repairs" corruption from its own future.
-            if (scrubber)
-                scrubber->advanceTo(e.atMs);
-            _mutableStore->flipBit(e.table, e.row, e.bit);
-        }
+    hooks.scrub = [&](double t) {
         if (scrubber)
-            scrubber->advanceTo(now);
+            scrubber->advanceTo(t);
     };
-
-    /** The injector governing instance @p i at @p now: an active
-     *  schedule phase overrides the static per-instance injector. */
-    const auto injFor = [&](std::size_t i,
-                            double now) -> const FaultInjector * {
-        if (schedule) {
-            if (const FaultInjector *f = schedule->injectorAt(now, i))
-                return f;
-        }
-        return _faults[i];
-    };
+    InstanceSet& life = _lifecycle;
+    life.startSession(schedule, std::move(hooks));
 
     /** Can new work be routed to instance @p i at @p now? */
     const auto availableFor = [&](std::size_t i, double now) -> bool {
-        if (_servers[i]->lifecycleState() != InstanceState::Up)
+        if (life[i].state != InstanceState::Up)
             return false;
         if (use_breakers && !breakers[i].admits(now))
             return false;
         return true;
     };
 
-    // Earliest-free core of an instance (lowest index on ties),
-    // restricted to the active core group during a partial drain.
-    const auto earliestCore = [&](std::size_t i) -> std::size_t {
-        const std::size_t active = _servers[i]->activeCores();
-        const std::size_t limit =
-            active > 0 ? std::min(active, free_at[i].size())
-                       : free_at[i].size();
-        std::size_t core = 0;
-        for (std::size_t c = 1; c < limit; ++c) {
-            if (free_at[i][c] < free_at[i][core])
-                core = c;
-        }
-        return core;
-    };
     const auto projectedWait = [&](std::size_t i,
                                    double ready) -> double {
-        return std::max(0.0, free_at[i][earliestCore(i)] - ready);
+        return std::max(0.0, life[i].freeAt[life.earliestCore(i)] - ready);
     };
     const auto samplesOf = [&](std::uint64_t req) -> std::size_t {
         return batches[req % batches.size()].batchSize;
@@ -451,7 +351,7 @@ Router::serve(const core::Tensor& dense,
     const auto serviceOn = [&](std::size_t i, std::size_t core,
                                std::size_t samples,
                                double now) -> double {
-        const FaultInjector *f = injFor(i, now);
+        const FaultInjector *f = life.injectorAt(i, now, _faults[i]);
         const double straggle = f ? f->serviceFactor(core) : 1.0;
         return _cfg.server.service.serviceMs(samples) *
                tier.serviceFactor * straggle;
@@ -459,8 +359,8 @@ Router::serve(const core::Tensor& dense,
     /** Projected completion of @p req on instance @p i at @p now. */
     const auto projectedEnd = [&](std::size_t i, double ready,
                                   std::size_t samples) -> double {
-        const std::size_t core = earliestCore(i);
-        return std::max(free_at[i][core], ready) +
+        const std::size_t core = life.earliestCore(i);
+        return std::max(life[i].freeAt[core], ready) +
                serviceOn(i, core, samples, ready);
     };
     // Health score = projected *completion* on this instance: queue
@@ -491,7 +391,7 @@ Router::serve(const core::Tensor& dense,
             }
         }
         return projectedWait(i, ready) +
-               serviceOn(i, earliestCore(i), samples, ready) +
+               serviceOn(i, life.earliestCore(i), samples, ready) +
                wins[i].p95() + penalty;
     };
 
@@ -568,18 +468,7 @@ Router::serve(const core::Tensor& dense,
     };
 
     // Dense inputs per batch size, reference-stable while tasks run.
-    std::map<std::size_t, core::Tensor> dense_by_rows;
-    const auto denseFor =
-        [&](std::size_t nrows) -> const core::Tensor& {
-        auto it = dense_by_rows.find(nrows);
-        if (it == dense_by_rows.end()) {
-            core::Tensor t(nrows, dense.cols());
-            std::memcpy(t.data(), dense.data(),
-                        nrows * dense.cols() * sizeof(float));
-            it = dense_by_rows.emplace(nrows, std::move(t)).first;
-        }
-        return it->second;
-    };
+    DensePrefixes dense_rows(dense);
 
     // Distinct (table, block) pairs touched by a sparse batch;
     // scratch reused across attempts. Out-of-range (poisoned)
@@ -627,7 +516,7 @@ Router::serve(const core::Tensor& dense,
         RAttempt a = events.top();
         events.pop();
 
-        applyEventsUpTo(a.readyMs);
+        life.advanceTo(a.readyMs);
 
         // Resolve the instance. A retry pinned to an instance that
         // has since left rotation (crashed or draining) is re-bound
@@ -638,10 +527,9 @@ Router::serve(const core::Tensor& dense,
         bool partial_drain = false;
         if (a.instance >= 0) {
             inst = static_cast<std::size_t>(a.instance);
-            const InstanceState st = _servers[inst]->lifecycleState();
-            partial_drain = st == InstanceState::Draining &&
-                            _servers[inst]->activeCores() > 0;
-            if (st != InstanceState::Up && !partial_drain) {
+            partial_drain = life[inst].state == InstanceState::Draining &&
+                            life[inst].dispatchable();
+            if (!life[inst].dispatchable()) {
                 a.exclude = a.instance;
                 a.instance = -1;
             }
@@ -694,15 +582,13 @@ Router::serve(const core::Tensor& dense,
         if (a.tries == 0)
             ++pis.arrived;
 
-        const std::size_t core = earliestCore(inst);
-        const double start = std::max(free_at[inst][core], a.readyMs);
+        const std::size_t core = life.earliestCore(inst);
+        const double start = std::max(life[inst].freeAt[core], a.readyMs);
         const double wait = start - a.readyMs;
-        const FaultInjector *fault = injFor(inst, a.readyMs);
-        const double straggle =
-            fault ? fault->serviceFactor(core) : 1.0;
-        const double service = _cfg.server.service.serviceMs(
-                                   samplesOf(a.req)) *
-                               tier.serviceFactor * straggle;
+        const FaultInjector *fault =
+            life.injectorAt(inst, a.readyMs, _faults[inst]);
+        const double service =
+            serviceOn(inst, core, samplesOf(a.req), a.readyMs);
 
         // Admission control at the routed instance. Retries and
         // failovers are always admitted — their work is already paid
@@ -718,7 +604,7 @@ Router::serve(const core::Tensor& dense,
                 if (!availableFor(j, a.readyMs))
                     continue;
                 any_fits = projectedWait(j, a.readyMs) +
-                               serviceOn(j, earliestCore(j),
+                               serviceOn(j, life.earliestCore(j),
                                          samplesOf(a.req),
                                          a.readyMs) <=
                            sla;
@@ -773,7 +659,7 @@ Router::serve(const core::Tensor& dense,
         bool ok = true;
         try {
             part[0] = &sparse;
-            dense_part[0] = &denseFor(sparse.batchSize);
+            dense_part[0] = &dense_rows.rows(sparse.batchSize);
             rs.total.execTotalMs += _servers[inst]->executeBatchedAttempt(
                 core, part, dense_part, tier, pf, *_models[inst], fault,
                 a.req, a.tries);
@@ -786,13 +672,9 @@ Router::serve(const core::Tensor& dense,
         }
 
         const double end = start + service;
-        free_at[inst][core] = end;
+        life.occupy(inst, core, end);
         busy[inst] += service;
         makespan = std::max(makespan, end);
-        // A partial drain stays open while pinned work is still
-        // landing on the residual cores.
-        if (_servers[inst]->lifecycleState() == InstanceState::Draining)
-            drain_ready[inst] = std::max(drain_ready[inst], end);
 
         if (use_breakers && breakers[inst].record(ok, end))
             ++rs.breakerTrips;
@@ -811,18 +693,13 @@ Router::serve(const core::Tensor& dense,
         } else if (a.tries < _cfg.server.maxRetries) {
             ++rs.total.retried;
             ++pis.retried;
-            const double backoff = std::min(
-                _cfg.server.backoffBaseMs *
-                    static_cast<double>(1ull << a.tries),
-                _cfg.server.backoffCapMs);
+            const double backoff =
+                retryBackoffMs(_cfg.server.backoffBaseMs,
+                               _cfg.server.backoffCapMs, a.tries);
             // Keep a partially-draining instance open long enough for
             // the retry it is about to receive.
-            if (_servers[inst]->lifecycleState() ==
-                    InstanceState::Draining &&
-                _servers[inst]->activeCores() > 0) {
-                drain_ready[inst] =
-                    std::max(drain_ready[inst], end + backoff);
-            }
+            if (life[inst].dispatchable())
+                life.holdDrain(inst, end + backoff);
             events.push(RAttempt{end + backoff, seq++, a.req,
                                  a.tries + 1, a.failovers,
                                  static_cast<int>(inst), a.exclude,
@@ -844,7 +721,9 @@ Router::serve(const core::Tensor& dense,
     // availability accounts for outages no attempt happened to
     // observe; instances still out of rotation stay unavailable
     // through the end.
-    applyEventsUpTo(makespan);
+    life.advanceTo(makespan);
+    rs.crashes = life.sessionCrashes();
+    rs.restarts = life.sessionRestarts();
     if (scrubber) {
         rs.blocksScrubbed = scrubber->blocksScrubbed();
         rs.scrubCorruptions = scrubber->corruptionsFound();
@@ -858,14 +737,8 @@ Router::serve(const core::Tensor& dense,
             busy_total += busy[i];
             rs.perInstance[i].serverUtilization =
                 busy[i] /
-                (makespan *
-                 static_cast<double>(free_at[i].size()));
-            double down = down_total[i];
-            if (_servers[i]->lifecycleState() != InstanceState::Up &&
-                makespan > down_since[i])
-                down += makespan - down_since[i];
-            rs.availability[i] =
-                std::max(0.0, 1.0 - down / makespan);
+                (makespan * static_cast<double>(life[i].cores()));
+            rs.availability[i] = life.upMs(i, makespan) / makespan;
         }
         rs.total.serverUtilization =
             busy_total /

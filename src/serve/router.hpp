@@ -31,11 +31,12 @@
  * On top of that sits the cluster-resilience layer:
  *
  *  - **instance lifecycle**: a FaultSchedule can script whole-instance
- *    crashes and recoveries; the router drives each Server through
- *    Up -> Draining -> Down -> WarmRestart, rebuilding the replica
- *    model view over the shared store in O(weights) and re-admitting
- *    after a probation window. Down instances leave every candidate
- *    set; their pinned retries are re-routed to survivors.
+ *    crashes and recoveries; the router's InstanceSet (kept across
+ *    sessions) drives each instance through Up -> Draining -> Down ->
+ *    WarmRestart, and the router rebuilds the replica model view over
+ *    the shared store in O(weights) on restart, re-admitting it after
+ *    a probation window. Down instances leave every candidate set;
+ *    their pinned retries are re-routed to survivors.
  *  - **circuit breakers** (RouterConfig::breaker): a per-instance
  *    rolling failure-rate window trips a sick instance out of
  *    rotation entirely; after a cooldown a single half-open probe
@@ -72,6 +73,7 @@
 #include "sched/topology.hpp"
 #include "serve/breaker.hpp"
 #include "serve/fault_schedule.hpp"
+#include "serve/instance_set.hpp"
 #include "serve/scrub.hpp"
 #include "serve/server.hpp"
 
@@ -309,6 +311,13 @@ class Router
         return *_models[i];
     }
 
+    /** Instance @p i's lifecycle facts (state, restarts, ...), which
+     *  persist across sessions. */
+    const InstanceSlot& lifecycle(std::size_t i) const
+    {
+        return _lifecycle[i];
+    }
+
     /** The shared table storage every instance reads from. */
     const std::shared_ptr<const core::EmbeddingStore>& store() const
     {
@@ -349,6 +358,7 @@ class Router
     std::uint64_t _modelSeed = 42; //!< ditto
     std::vector<std::unique_ptr<core::DlrmModel>> _models;
     std::vector<std::unique_ptr<Server>> _servers;
+    InstanceSet _lifecycle{{}, InstanceSetConfig{}, 0};
 };
 
 } // namespace dlrmopt::serve

@@ -6,27 +6,23 @@
 #include <cstring>
 #include <future>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
 namespace dlrmopt::serve
 {
 
-const char *
-instanceStateName(InstanceState s)
+const core::Tensor&
+DensePrefixes::rows(std::size_t n)
 {
-    switch (s) {
-      case InstanceState::Up:
-        return "Up";
-      case InstanceState::Draining:
-        return "Draining";
-      case InstanceState::Down:
-        return "Down";
-      case InstanceState::WarmRestart:
-        return "WarmRestart";
+    auto it = _byRows.find(n);
+    if (it == _byRows.end()) {
+        core::Tensor t(n, _dense->cols());
+        std::memcpy(t.data(), _dense->data(),
+                    n * _dense->cols() * sizeof(float));
+        it = _byRows.emplace(n, std::move(t)).first;
     }
-    return "?";
+    return it->second;
 }
 
 Server::Server(const core::DlrmModel& model,
@@ -60,82 +56,6 @@ Server::Server(const core::DlrmModel& model,
     // FaultConfig knob validate() alone cannot.
     if (fault)
         fault->config().validate(_pool.numCores());
-    _activeCores = _pool.numCores();
-}
-
-void
-Server::setActiveCores(std::size_t n)
-{
-    if (n > _pool.numCores()) {
-        throw std::invalid_argument(
-            "Server::setActiveCores: " + std::to_string(n) +
-            " exceeds the instance's " +
-            std::to_string(_pool.numCores()) + " cores");
-    }
-    _activeCores = n;
-}
-
-void
-Server::beginDrain()
-{
-    if (_lifecycle != InstanceState::Up) {
-        throw std::logic_error(
-            std::string("Server::beginDrain: instance is ") +
-            instanceStateName(_lifecycle) + ", expected Up");
-    }
-    _lifecycle = InstanceState::Draining;
-    // All-or-nothing by default: no new work while draining. A
-    // partial drain re-opens a smaller core group via
-    // setActiveCores() right after.
-    _activeCores = 0;
-}
-
-void
-Server::cancelDrain()
-{
-    if (_lifecycle != InstanceState::Draining) {
-        throw std::logic_error(
-            std::string("Server::cancelDrain: instance is ") +
-            instanceStateName(_lifecycle) + ", expected Draining");
-    }
-    _lifecycle = InstanceState::Up;
-    _activeCores = _pool.numCores();
-}
-
-void
-Server::markDown()
-{
-    if (_lifecycle != InstanceState::Draining) {
-        throw std::logic_error(
-            std::string("Server::markDown: instance is ") +
-            instanceStateName(_lifecycle) + ", expected Draining");
-    }
-    _lifecycle = InstanceState::Down;
-    _activeCores = 0;
-}
-
-void
-Server::beginWarmRestart()
-{
-    if (_lifecycle != InstanceState::Down) {
-        throw std::logic_error(
-            std::string("Server::beginWarmRestart: instance is ") +
-            instanceStateName(_lifecycle) + ", expected Down");
-    }
-    _lifecycle = InstanceState::WarmRestart;
-}
-
-void
-Server::completeWarmRestart()
-{
-    if (_lifecycle != InstanceState::WarmRestart) {
-        throw std::logic_error(
-            std::string("Server::completeWarmRestart: instance is ") +
-            instanceStateName(_lifecycle) + ", expected WarmRestart");
-    }
-    _lifecycle = InstanceState::Up;
-    _activeCores = _pool.numCores();
-    ++_restarts;
 }
 
 double
@@ -215,11 +135,6 @@ Server::serve(const core::Tensor& dense,
 
     if (batches.empty())
         throw std::invalid_argument("Server: need at least one batch");
-    if (_lifecycle != InstanceState::Up) {
-        throw std::logic_error(
-            std::string("Server::serve: instance is ") +
-            instanceStateName(_lifecycle) + ", not Up");
-    }
 
     const std::size_t cores = _pool.numCores();
     const std::size_t rows = _model.config().rows;
@@ -271,19 +186,7 @@ Server::serve(const core::Tensor& dense,
         _batchWs.reserve(_model, max_dispatch, max_lookups);
     _batchWs.resetRotation();
 
-    // Dense inputs per request batch size, reference-stable.
-    std::map<std::size_t, core::Tensor> dense_by_rows;
-    const auto denseFor =
-        [&](std::size_t n) -> const core::Tensor& {
-        auto it = dense_by_rows.find(n);
-        if (it == dense_by_rows.end()) {
-            core::Tensor t(n, dense.cols());
-            std::memcpy(t.data(), dense.data(),
-                        n * dense.cols() * sizeof(float));
-            it = dense_by_rows.emplace(n, std::move(t)).first;
-        }
-        return it->second;
-    };
+    DensePrefixes dense_rows(dense);
 
     BatchQueue queue(_cfg.batching);
     std::uint64_t seq = 0;
@@ -344,10 +247,8 @@ Server::serve(const core::Tensor& dense,
                 policy.observe(latency);
             } else if (m.tries < _cfg.maxRetries) {
                 ++st.retried;
-                const double backoff = std::min(
-                    _cfg.backoffBaseMs *
-                        static_cast<double>(1ull << m.tries),
-                    _cfg.backoffCapMs);
+                const double backoff = retryBackoffMs(
+                    _cfg.backoffBaseMs, _cfg.backoffCapMs, m.tries);
                 queue.push(PendingRequest{end + backoff, seq++, m.req,
                                           m.tries + 1, m.arrivalMs,
                                           m.samples});
@@ -534,7 +435,7 @@ Server::serve(const core::Tensor& dense,
                 }
             }
             parts.push_back(sparse);
-            dense_parts.push_back(&denseFor(n));
+            dense_parts.push_back(&dense_rows.rows(n));
             member_sizes.push_back(n);
         }
         const FaultInjector *task_fault = lone ? _fault : nullptr;

@@ -50,8 +50,10 @@
 #ifndef DLRMOPT_SERVE_SERVER_HPP
 #define DLRMOPT_SERVE_SERVER_HPP
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "core/batching.hpp"
@@ -65,30 +67,30 @@
 namespace dlrmopt::serve
 {
 
-/**
- * Lifecycle of one serving instance, driven by the Router's event
- * loop from a scripted FaultSchedule (serve/fault_schedule.hpp):
- *
- *   Up --crash--> Draining --in-flight done--> Down
- *   Down --recover--> WarmRestart --probation--> Up
- *
- * Draining exists because a crash is *announced* on the virtual clock
- * while a dispatch may still be executing: the instance takes no new
- * work but its in-flight attempt finishes accounting. WarmRestart is
- * the O(weights) rebuild of the replica DlrmModel view over the
- * shared EmbeddingStore — tables are never copied, so restart cost is
- * MLP-sized — followed by a probation window before re-admission.
- */
-enum class InstanceState
+/** Capped exponential retry backoff: @p base_ms * 2^@p tries, at most
+ *  @p cap_ms. */
+inline double
+retryBackoffMs(double base_ms, double cap_ms, std::uint64_t tries)
 {
-    Up,
-    Draining,
-    Down,
-    WarmRestart
-};
+    return std::min(base_ms * static_cast<double>(1ull << tries), cap_ms);
+}
 
-/** Human-readable state name ("Up", "Draining", ...). */
-const char *instanceStateName(InstanceState s);
+/**
+ * Row prefixes of one dense-feature tensor: rows(n) is its first n
+ * rows, built on first use and reference-stable for the cache's
+ * lifetime, so a dispatch can point at it while a pool task runs.
+ */
+class DensePrefixes
+{
+  public:
+    explicit DensePrefixes(const core::Tensor& dense) : _dense(&dense) {}
+
+    const core::Tensor& rows(std::size_t n);
+
+  private:
+    const core::Tensor *_dense;
+    std::map<std::size_t, core::Tensor> _byRows;
+};
 
 /** Serving-session parameters. */
 struct ServerConfig
@@ -196,8 +198,12 @@ struct ServerConfig
 };
 
 /**
- * Fault-tolerant serving loop over a real model. The pool is built
- * once per Server and reused across serve() sessions.
+ * One serving instance: the execution engine the cluster layers
+ * dispatch into (a private core pool and a persistent forward
+ * workspace) and a fault-tolerant serving loop over it. The pool is
+ * built once per Server and reused across serve() sessions. A
+ * cluster's instance lifecycle lives in its InstanceSet
+ * (serve/instance_set.hpp), not here.
  */
 class Server
 {
@@ -245,76 +251,7 @@ class Server
 
     std::size_t numCores() const { return _pool.numCores(); }
 
-    /**
-     * Cores currently accepting *new* dispatches: numCores() when
-     * fully up, fewer during a partial drain (cores [0, activeCores)
-     * serve residual traffic while the rest wind down), 0 while fully
-     * draining. In-flight work on a deactivated core still finishes.
-     */
-    std::size_t activeCores() const { return _activeCores; }
-
-    /**
-     * Shrinks (or restores) the active core group. The caller — the
-     * Router's partial-drain path or the fleet's elastic scale-down —
-     * drives this; the Server just bounds it.
-     *
-     * @throws std::invalid_argument when @p n exceeds numCores().
-     */
-    void setActiveCores(std::size_t n);
-
     const ServerConfig& config() const { return _cfg; }
-
-    /// @name Instance lifecycle
-    /// @{
-
-    InstanceState lifecycleState() const { return _lifecycle; }
-
-    /** Number of completed warm restarts. */
-    std::uint64_t restarts() const { return _restarts; }
-
-    /**
-     * Up -> Draining: the instance stops accepting new work; its
-     * in-flight dispatch finishes accounting first.
-     *
-     * @throws std::logic_error unless currently Up.
-     */
-    void beginDrain();
-
-    /**
-     * Draining -> Up: the drain was called off (elastic capacity
-     * wants the instance back before it ever went Down). Restores the
-     * full active core group.
-     *
-     * @throws std::logic_error unless currently Draining.
-     */
-    void cancelDrain();
-
-    /**
-     * Draining -> Down: the last in-flight work has drained. Clears
-     * the active core group.
-     *
-     * @throws std::logic_error unless currently Draining.
-     */
-    void markDown();
-
-    /**
-     * Down -> WarmRestart: the instance starts rebuilding. The
-     * caller (Router) performs the actual O(weights) model-view
-     * rebuild; this transition only tracks lifecycle.
-     *
-     * @throws std::logic_error unless currently Down.
-     */
-    void beginWarmRestart();
-
-    /**
-     * WarmRestart -> Up: probation passed, instance re-admitted.
-     * Counts one restart.
-     *
-     * @throws std::logic_error unless currently WarmRestart.
-     */
-    void completeWarmRestart();
-
-    /// @}
 
     /**
      * Runs one dispatch on @p core through the persistent
@@ -399,9 +336,6 @@ class Server
     ServerConfig _cfg;
     const FaultInjector *_fault;
     sched::HtThreadPool _pool;
-    InstanceState _lifecycle = InstanceState::Up;
-    std::uint64_t _restarts = 0;
-    std::size_t _activeCores = 0; //!< set from numCores() at build
 
     /** Preallocated forward scratch, sized on the first session and
      *  reused for every dispatch thereafter. */

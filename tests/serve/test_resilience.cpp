@@ -17,6 +17,7 @@
 
 #include "core/embedding_store.hpp"
 #include "serve/fault_schedule.hpp"
+#include "serve/instance_set.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/router.hpp"
 #include "trace/generator.hpp"
@@ -122,8 +123,8 @@ TEST_F(ResilienceTest, ChaosSessionServesZeroWrongPredictions)
     // The crash happened and the instance warm-restarted in-session.
     EXPECT_EQ(rs.crashes, 1u);
     EXPECT_EQ(rs.restarts, 1u);
-    EXPECT_EQ(router.instance(0).lifecycleState(), InstanceState::Up);
-    EXPECT_EQ(router.instance(0).restarts(), 1u);
+    EXPECT_EQ(router.lifecycle(0).state, InstanceState::Up);
+    EXPECT_EQ(router.lifecycle(0).restarts, 1u);
     ASSERT_EQ(rs.availability.size(), 2u);
     EXPECT_LT(rs.availability[0], 1.0);
     EXPECT_DOUBLE_EQ(rs.availability[1], 1.0);
@@ -225,10 +226,41 @@ TEST_F(ResilienceTest, WarmRestartedInstanceServesAgainInSession)
 
     EXPECT_EQ(rs.restarts, 1u);
     EXPECT_GT(rs.perInstance[0].served, 0u);
-    EXPECT_EQ(router.instance(0).lifecycleState(), InstanceState::Up);
+    EXPECT_EQ(router.lifecycle(0).state, InstanceState::Up);
     // While down, the cluster kept serving on the survivor.
     EXPECT_EQ(rs.total.served, 100u);
     EXPECT_EQ(rs.total.failed, 0u);
+}
+
+TEST_F(ResilienceTest, CrashDuringProbationTakesTheInstanceDown)
+{
+    // Instance 0 warm-restarts at 20 ms and crashes again at 22 ms,
+    // inside its 5 ms probation; it recovers at 80 ms, so its second
+    // probation ends at 85 ms. Every request arrives inside that
+    // outage, so none of them may land on instance 0.
+    std::vector<double> arrivals;
+    for (std::size_t r = 0; r < 100; ++r)
+        arrivals.push_back(22.5 + 0.6 * static_cast<double>(r));
+    auto store = core::EmbeddingStore::createMutable(smallModel(), 11);
+    Router router(smallModel(), store,
+                  sched::Topology::synthetic(4, 2), baseConfig());
+    std::vector<LifecycleEvent> lc = {
+        {10.0, 0, Kind::Crash},
+        {20.0, 0, Kind::Recover},
+        {22.0, 0, Kind::Crash},
+        {80.0, 0, Kind::Recover},
+    };
+    const FaultSchedule script({}, std::move(lc), {});
+    const auto rs = router.serve(dense, batches, arrivals,
+                                 core::PrefetchSpec::paperDefault(),
+                                 &script);
+
+    EXPECT_EQ(rs.crashes, 2u);
+    EXPECT_EQ(rs.perInstance[0].served, 0u);
+    EXPECT_EQ(rs.perInstance[0].arrived, 0u);
+    EXPECT_EQ(rs.total.served, 100u);
+    // Up only before the first crash.
+    EXPECT_NEAR(rs.availability[0] * rs.makespanMs, 10.0, 1e-9);
 }
 
 TEST_F(ResilienceTest, FaultySessionIsBitReproducible)
@@ -399,25 +431,23 @@ TEST_F(ResilienceTest, ServeValidatesScheduleAgainstCluster)
 
 TEST_F(ResilienceTest, LifecycleTransitionsAreGuarded)
 {
-    // Direct Server-level state machine checks (the router drives
+    // Direct state-machine checks on one slot (the router drives
     // these transitions from scripted events).
-    core::DlrmModel model(smallModel(), 11);
-    ServerConfig scfg;
-    Server srv(model, sched::Topology::synthetic(2, 2), scfg);
-    EXPECT_EQ(srv.lifecycleState(), InstanceState::Up);
-    EXPECT_THROW(srv.markDown(), std::logic_error);
-    EXPECT_THROW(srv.beginWarmRestart(), std::logic_error);
-    EXPECT_THROW(srv.completeWarmRestart(), std::logic_error);
-    srv.beginDrain();
-    EXPECT_EQ(srv.lifecycleState(), InstanceState::Draining);
-    EXPECT_THROW(srv.beginDrain(), std::logic_error);
-    srv.markDown();
-    EXPECT_EQ(srv.lifecycleState(), InstanceState::Down);
-    srv.beginWarmRestart();
-    EXPECT_EQ(srv.lifecycleState(), InstanceState::WarmRestart);
-    srv.completeWarmRestart();
-    EXPECT_EQ(srv.lifecycleState(), InstanceState::Up);
-    EXPECT_EQ(srv.restarts(), 1u);
+    InstanceSet set({2}, InstanceSetConfig{}, 1);
+    EXPECT_EQ(set[0].state, InstanceState::Up);
+    EXPECT_THROW(set.markDown(0), std::logic_error);
+    EXPECT_THROW(set.beginWarmRestart(0, 0.0), std::logic_error);
+    EXPECT_THROW(set.completeWarmRestart(0), std::logic_error);
+    set.beginDrain(0, 0.0);
+    EXPECT_EQ(set[0].state, InstanceState::Draining);
+    EXPECT_THROW(set.beginDrain(0, 0.0), std::logic_error);
+    set.markDown(0);
+    EXPECT_EQ(set[0].state, InstanceState::Down);
+    set.beginWarmRestart(0, 1.0);
+    EXPECT_EQ(set[0].state, InstanceState::WarmRestart);
+    set.completeWarmRestart(0);
+    EXPECT_EQ(set[0].state, InstanceState::Up);
+    EXPECT_EQ(set[0].restarts, 1u);
     EXPECT_STREQ(instanceStateName(InstanceState::Draining),
                  "Draining");
 }
