@@ -439,6 +439,15 @@ TEST_F(FleetTest, RejectsBadShapesAndInputs)
     TenantWorkload no_batches;
     no_batches.arrivalsMs = {0.0};
     EXPECT_THROW(fleet.serve({no_batches}), std::invalid_argument);
+
+    // A zero-sample request is malformed input, not a retryable
+    // dispatch failure.
+    TenantWorkload zero =
+        makeWork(reg.tenant(0).model, 5, evenArrivals(3, 1.0));
+    zero.batches[1].batchSize = 0;
+    zero.batches[1].indices.assign(reg.tenant(0).model.tables, {});
+    zero.batches[1].offsets.assign(reg.tenant(0).model.tables, {0});
+    EXPECT_THROW(fleet.serve({zero}), std::invalid_argument);
 }
 
 
