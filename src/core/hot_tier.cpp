@@ -83,12 +83,16 @@ HotTierCache::bag(std::size_t table, const RowIndex *indices,
                   const RowIndex *offsets, std::size_t samples,
                   float *out, const PrefetchSpec& pf)
 {
-    const EmbeddingTable& tbl = _cold->table(table);
+    // The cold store is resolved under _mu: retarget() swaps it under
+    // the exclusive lock, and the old store may be freed once it has.
     const std::size_t total = static_cast<std::size_t>(offsets[samples]);
     if (_capacity == 0) {
         // Disabled tier: pure pass-through (whole-sample quantized
         // kernels included), no admission accounting.
-        tbl.bag(indices, offsets, samples, out, pf);
+        {
+            std::shared_lock<std::shared_mutex> lk(_mu);
+            _cold->table(table).bag(indices, offsets, samples, out, pf);
+        }
         _misses.fetch_add(total, std::memory_order_relaxed);
         return;
     }
@@ -145,6 +149,7 @@ HotTierCache::bag(std::size_t table, const RowIndex *indices,
     std::uint64_t local_hits = 0, local_misses = 0;
     {
         std::shared_lock<std::shared_mutex> lk(_mu);
+        const EmbeddingTable& tbl = _cold->table(table);
         RowMeta *meta = _meta.get() + table * _rows;
         const bool do_pf = pf.enabled();
         // Same byte-constant look-ahead scaling as the cold bag
