@@ -18,7 +18,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -48,8 +47,6 @@ struct Point
     core::SimdLevel level = core::SimdLevel::Scalar;
     double blockedMs = 0.0;
     double packedMs = 0.0;
-    double transMs = 0.0;     //!< n-major (transposed-activation) engine
-    bool transBitwise = false; //!< trans output == m-major output, bitwise
     double maxAbsDiff = 0.0; //!< packed vs denseLayerForwardRef
 
     double
@@ -128,25 +125,6 @@ measurePoint(std::size_t m, const Shape& shape, core::SimdLevel level,
         },
         flops, reps);
 
-    // The n-major engine consumes the same activations feature-major
-    // (the streaming pipeline's handoff layout).
-    core::Tensor in_t(std::max<std::size_t>(shape.inDim, 1), m);
-    for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t k = 0; k < shape.inDim; ++k)
-            in_t.at(k, r) = in.at(r, k);
-    }
-    std::vector<float> out_t(m * shape.outDim);
-    p.transMs = timeMs(
-        [&] {
-            core::denseLayerForwardPackedTransLevel(
-                level, in_t.data(), m, packed, bias.data(),
-                out_t.data(), true);
-        },
-        flops, reps);
-    p.transBitwise =
-        std::memcmp(out.data(), out_t.data(),
-                    out.size() * sizeof(float)) == 0;
-
     core::denseLayerForwardRef(in.data(), m, shape.inDim, w.data(),
                                bias.data(), shape.outDim, ref.data(),
                                true);
@@ -173,16 +151,13 @@ writeJson(const std::vector<Point>& points, const char *path)
             "  {\"m\": %zu, \"in_dim\": %zu, \"out_dim\": %zu, "
             "\"origin\": \"%s\", \"level\": \"%s\", "
             "\"blocked_ms\": %.6f, \"packed_ms\": %.6f, "
-            "\"trans_ms\": %.6f, "
             "\"blocked_gflops\": %.3f, \"packed_gflops\": %.3f, "
-            "\"trans_gflops\": %.3f, \"trans_bitwise\": %s, "
             "\"speedup\": %.3f, \"max_abs_diff\": %.3g}%s\n",
             p.m, p.shape.inDim, p.shape.outDim, p.shape.origin,
             core::simdLevelName(p.level).c_str(), p.blockedMs,
-            p.packedMs, p.transMs, p.gflops(p.blockedMs),
-            p.gflops(p.packedMs), p.gflops(p.transMs),
-            p.transBitwise ? "true" : "false", p.speedup(),
-            p.maxAbsDiff, i + 1 < points.size() ? "," : "");
+            p.packedMs, p.gflops(p.blockedMs), p.gflops(p.packedMs),
+            p.speedup(), p.maxAbsDiff,
+            i + 1 < points.size() ? "," : "");
         os << buf;
     }
     os << "]\n";
@@ -225,25 +200,19 @@ main()
                     core::gemmMaxRows(level),
                     core::PackedWeights::panelWidth);
         std::printf("    m   layer shape      origin          "
-                    "blocked GF/s  packed GF/s  trans GF/s  speedup\n");
+                    "blocked GF/s  packed GF/s  speedup\n");
         for (const Shape& shape : shapes) {
             for (const std::size_t m : ms) {
                 const Point p = measurePoint(m, shape, level, reps);
                 std::printf("  %4zu  %5zu x %-6zu  %-14s  %12.2f  "
-                            "%11.2f  %10.2f  %6.2fx\n",
+                            "%11.2f  %6.2fx\n",
                             p.m, p.shape.inDim, p.shape.outDim,
                             p.shape.origin, p.gflops(p.blockedMs),
-                            p.gflops(p.packedMs), p.gflops(p.transMs),
-                            p.speedup());
+                            p.gflops(p.packedMs), p.speedup());
                 if (p.maxAbsDiff > 1e-3) {
                     std::printf("  ^^ FAIL: packed output diverges "
                                 "from reference (max abs diff %g)\n",
                                 p.maxAbsDiff);
-                    ok = false;
-                }
-                if (!p.transBitwise) {
-                    std::printf("  ^^ FAIL: n-major engine diverges "
-                                "bitwise from the m-major engine\n");
                     ok = false;
                 }
                 points.push_back(p);

@@ -11,18 +11,10 @@
  * enough to keep cores efficient, never so much that a member blows
  * its SLA. The headline row is the overloaded regime, where
  * coalescing must deliver >= 1.3x served throughput at an
- * equal-or-better p95.
- *
- * The streamed policy rows run the stage-pipelined dispatch (gather
- * of dispatch k+1 overlapping compute of dispatch k on split core
- * groups); a final steady-state section measures the pipelined
- * per-dispatch makespan on a saturating stream and FAILS the run
- * when it exceeds 1.15x the bottleneck stage. Emits
- * BENCH_serving.json (one record per measured point) into the
- * working directory.
+ * equal-or-better p95. Emits BENCH_serving.json (one record per
+ * measured point) into the working directory.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -46,7 +38,6 @@ struct Policy
     bool enabled;
     std::size_t maxRequests;
     double lingerMs;
-    bool streamed = false;
 };
 
 struct Record
@@ -127,8 +118,6 @@ main()
         {"batch 4 @ 0ms", true, 4, 0.0},
         {"batch 8 @ 0ms", true, 8, 0.0},
         {"batch 8 @ 1ms", true, 8, 1.0},
-        {"streamed 8 @ 0ms", true, 8, 0.0, true},
-        {"streamed 8 @ 1ms", true, 8, 1.0, true},
     };
 
     std::vector<Record> records;
@@ -144,7 +133,6 @@ main()
             cfg.batching.enabled = p.enabled;
             cfg.batching.maxRequests = p.maxRequests;
             cfg.batching.maxLingerMs = p.lingerMs;
-            cfg.streamed = p.streamed;
             serve::Server srv(model, topo, cfg);
             const auto st = srv.serve(dense, batches, arrivals);
             const double rate =
@@ -173,57 +161,6 @@ main()
                 "speedup over the unbatched policy at the same "
                 "arrival rate.\n");
 
-    // Steady-state pipeline check: a saturating stream of equal-size
-    // dispatches through the streamed loop. The first dispatch fills
-    // the pipeline (gather + compute); after that each dispatch may
-    // cost at most 1.15x the bottleneck stage or the overlap claim
-    // is broken and the bench fails.
-    bool ok = true;
-    {
-        const std::size_t d = quickMode() ? 64 : 256;
-        serve::ServerConfig cfg = base_cfg;
-        cfg.slaMs = 1e6; // saturation, not shedding, is under test
-        cfg.admission = false;
-        cfg.batching.enabled = true;
-        cfg.batching.maxRequests = 1;
-        cfg.streamed = true;
-        serve::Server srv(model, topo, cfg);
-        const std::vector<double> at_once(d, 0.0);
-        const auto st = srv.serve(dense, batches, at_once);
-
-        const serve::StageServiceModel stages =
-            serve::StageServiceModel::split(cfg.service,
-                                            cfg.gatherFraction);
-        const std::size_t samples = batches.front().batchSize;
-        const double g = stages.gatherMs(samples);
-        const double c = stages.computeMs(samples);
-        const double fill = g + c;
-        const double steady =
-            st.dispatches > 1
-                ? (st.makespanMs - fill) /
-                      static_cast<double>(st.dispatches - 1)
-                : st.makespanMs;
-        const double bound = 1.15 * std::max(g, c);
-        std::printf(
-            "\nsteady-state pipeline: %zu dispatches, gather %.3f ms, "
-            "compute %.3f ms\n  per-dispatch %.4f ms vs bound %.4f ms "
-            "(1.15 x max stage): %s\n",
-            st.dispatches, g, c, steady, bound,
-            steady <= bound ? "PASS" : "FAIL");
-        if (steady > bound || st.served != d)
-            ok = false;
-        records.push_back(Record{"steady-state streamed", 0.0,
-                                 st.served, st.shed,
-                                 st.makespanMs > 0.0
-                                     ? 1000.0 *
-                                           static_cast<double>(
-                                               st.served) /
-                                           st.makespanMs
-                                     : 0.0,
-                                 st.latency.percentile(50.0),
-                                 st.latency.p95(), st.makespanMs});
-    }
-
     writeJson(records, "BENCH_serving.json");
-    return ok ? 0 : 1;
+    return 0;
 }

@@ -110,18 +110,13 @@ namespace
 double
 timePackedMs(const float *in, std::size_t batch, const PackedWeights& w,
              const float *bias, float *out, const GemmTile& tile,
-             SimdLevel level, int repeats, bool trans)
+             SimdLevel level, int repeats)
 {
     double best = 1e300;
     for (int r = 0; r < repeats; ++r) {
         const auto t0 = Clock::now();
-        if (trans) {
-            denseLayerForwardPackedTransLevel(level, in, batch, w,
-                                              bias, out, true, tile);
-        } else {
-            denseLayerForwardPackedLevel(level, in, batch, w, bias,
-                                         out, true, tile);
-        }
+        denseLayerForwardPackedLevel(level, in, batch, w, bias, out,
+                                     true, tile);
         const double ms =
             std::chrono::duration<double, std::milli>(Clock::now() -
                                                       t0)
@@ -195,7 +190,7 @@ defaultGemmTileGrid(std::size_t batch, std::size_t in_dim,
 GemmTuneResult
 tuneGemmTile(std::size_t batch, std::size_t in_dim, std::size_t out_dim,
              std::vector<GemmTile> candidates, int repeats,
-             std::uint64_t seed, bool trans, EmbDtype dtype)
+             std::uint64_t seed, EmbDtype dtype)
 {
     if (batch == 0 || out_dim == 0) {
         throw std::invalid_argument(
@@ -205,11 +200,6 @@ tuneGemmTile(std::size_t batch, std::size_t in_dim, std::size_t out_dim,
         throw std::invalid_argument(
             "tuneGemmTile: bf16 is an embedding-storage format; the "
             "MLPs run the fp32 engine for it — tune fp32 or int8");
-    }
-    if (trans && dtype == EmbDtype::Int8) {
-        throw std::invalid_argument(
-            "tuneGemmTile: the u8·s8 engine has no n-major "
-            "(transposed-activation) variant");
     }
     const SimdLevel level = currentSimdLevel();
     if (candidates.empty()) {
@@ -230,11 +220,7 @@ tuneGemmTile(std::size_t batch, std::size_t in_dim, std::size_t out_dim,
     }
     repeats = std::max(repeats, 1);
 
-    // Trans activations are feature-major [in_dim x batch]; same
-    // element count, so the blocked-baseline timing below (which is
-    // layout-agnostic for measurement purposes) reads it untransposed.
-    Tensor in(trans ? std::max<std::size_t>(in_dim, 1) : batch,
-              trans ? batch : std::max<std::size_t>(in_dim, 1));
+    Tensor in(batch, std::max<std::size_t>(in_dim, 1));
     in.randomize(mix64(seed), 0.5f);
     Tensor weights(out_dim, std::max<std::size_t>(in_dim, 1));
     weights.randomize(mix64(seed + 1), 0.1f);
@@ -247,7 +233,6 @@ tuneGemmTile(std::size_t batch, std::size_t in_dim, std::size_t out_dim,
     res.inDim = in_dim;
     res.outDim = out_dim;
     res.level = level;
-    res.trans = trans;
     res.dtype = dtype;
 
     // Warm caches once, then time the scalar blocked baseline the
@@ -291,7 +276,7 @@ tuneGemmTile(std::size_t batch, std::size_t in_dim, std::size_t out_dim,
         for (const GemmTile& tile : candidates) {
             const double ms =
                 timePackedMs(in.data(), batch, packed, bias.data(),
-                             out.data(), tile, level, repeats, trans);
+                             out.data(), tile, level, repeats);
             res.measurements.push_back({tile, ms});
             if (ms < res.bestMs) {
                 res.bestMs = ms;
@@ -301,7 +286,7 @@ tuneGemmTile(std::size_t batch, std::size_t in_dim, std::size_t out_dim,
     }
 
     GemmTileCache::instance().install(batch, in_dim, out_dim, level,
-                                      res.best, trans, dtype);
+                                      res.best, dtype);
     return res;
 }
 
@@ -322,18 +307,7 @@ tuneMlpGemm(const std::vector<std::size_t>& dims,
     for (const std::size_t m : batches) {
         for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
             results.push_back(tuneGemmTile(m, dims[l], dims[l + 1], {},
-                                           repeats, seed + l,
-                                           /*trans=*/false, dtype));
-        }
-        // The first layer is the one the streaming pipeline feeds
-        // feature-major (interaction output without a repack), so
-        // also tune its n-major engine slot. The pipeline (and thus
-        // the n-major engine) is fp32-only.
-        if (dtype != EmbDtype::Int8) {
-            results.push_back(tuneGemmTile(m, dims[0], dims[1], {},
-                                           repeats,
-                                           seed + dims.size(),
-                                           /*trans=*/true));
+                                           repeats, seed + l, dtype));
         }
     }
     return results;

@@ -95,7 +95,6 @@ struct GemmTuneResult
     std::size_t inDim = 0;
     std::size_t outDim = 0;
     SimdLevel level = SimdLevel::Scalar; //!< dispatch level tuned at
-    bool trans = false;     //!< n-major (transposed-activation) engine
     EmbDtype dtype = EmbDtype::Fp32; //!< engine tuned (fp32 or u8·s8)
     GemmTile best;          //!< fastest tile (installed in the cache)
     double bestMs = 0.0;
@@ -132,11 +131,6 @@ std::vector<GemmTile> defaultGemmTileGrid(std::size_t batch,
  *
  * @param candidates Tiles to try; empty = defaultGemmTileGrid().
  * @param repeats Timed repetitions per candidate (best is kept).
- * @param trans Tune the n-major (transposed-activation) engine
- *        variant instead: activations are laid out feature-major
- *        [in_dim x batch] and the winner installs under the
- *        trans-keyed cache slot the streaming pipeline's first
- *        top-MLP layer consults.
  * @param dtype EmbDtype::Int8 tunes the u8·s8 packed engine instead:
  *        activations are pre-quantized once (quantization cost is
  *        per-dispatch, not per-tile) and candidates run through
@@ -144,34 +138,28 @@ std::vector<GemmTile> defaultGemmTileGrid(std::size_t batch,
  *        full depth in registers, so only the microtile height mr
  *        distinguishes candidates; the default grid reflects that.
  *        baselineMs stays the *fp32* scalar blocked kernel, making
- *        speedup() the measured quantization win. Int8 has no n-major
- *        engine — trans && dtype==Int8 throws.
+ *        speedup() the measured quantization win.
  *
- * @throws std::invalid_argument on batch/out_dim == 0, on
- *         trans && dtype == Int8, or on dtype == Bf16 (bf16 is an
- *         embedding-storage format; the MLPs run fp32 for it).
+ * @throws std::invalid_argument on batch/out_dim == 0 or on
+ *         dtype == Bf16 (bf16 is an embedding-storage format; the
+ *         MLPs run fp32 for it).
  */
 GemmTuneResult tuneGemmTile(std::size_t batch, std::size_t in_dim,
                             std::size_t out_dim,
                             std::vector<GemmTile> candidates = {},
                             int repeats = 3, std::uint64_t seed = 1,
-                            bool trans = false,
                             EmbDtype dtype = EmbDtype::Fp32);
 
 /**
  * Tunes every layer shape of an MLP size list (e.g.
  * ModelConfig::bottomMlp or topMlpDims()) at each coalesced batch
  * size in @p batches (default: one representative per m-bucket),
- * installing all winners. The first layer is additionally tuned
- * through the n-major (transposed-activation) engine — the variant
- * the streaming pipeline feeds with the feature-major interaction
- * output — so both cache slots are warm. Returns one GemmTuneResult
- * per (batch, layer[, trans]) point, layers innermost.
+ * installing all winners. Returns one GemmTuneResult per
+ * (batch, layer) point, layers innermost.
  *
  * @param dtype EmbDtype::Int8 tunes the u8·s8 engine's cache slots
- *        instead (and skips the n-major point — the int8 engine has
- *        no trans variant). Serving warms both dtypes so a
- *        degradation tier switch never runs untuned.
+ *        instead. Serving warms both dtypes so a degradation tier
+ *        switch never runs untuned.
  */
 std::vector<GemmTuneResult> tuneMlpGemm(
     const std::vector<std::size_t>& dims,

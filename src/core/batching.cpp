@@ -108,8 +108,6 @@ ForwardWorkspace::reserve(const DlrmModel& model, std::size_t max_batch,
     }
     const ModelConfig& cfg = model.config();
     _maxBatch = max_batch;
-    _gatherNext = 0;
-    _lastCompute = 0;
 
     // Widest activation either MLP ever stages through the ping-pong
     // scratch (hidden layers only; the final layer writes the output
@@ -121,30 +119,25 @@ ForwardWorkspace::reserve(const DlrmModel& model, std::size_t max_batch,
             widest = std::max(widest, dims[l]);
     }
 
-    for (StageBuffers& s : _sets) {
-        s.batch = 0;
-        s.dense.reshape(max_batch, cfg.denseDim());
-        s.embOut.reshape(cfg.tables, max_batch * cfg.dim);
-        s.bottomOut.reshape(max_batch, cfg.dim);
-        s.interOut.reshape(max_batch, cfg.topInputDim());
-        s.interOutT.reshape(cfg.topInputDim(), max_batch);
-        s.pred.reshape(max_batch, 1);
-        s.mlpA.reshape(max_batch, widest);
-        s.mlpB.reshape(max_batch, widest);
-        // Int8 activation staging: the widest quantized layer input
-        // across both MLPs (paddedK is per-layer; the buffer is
-        // resized down per call without reallocating).
-        const std::size_t max_padded_k =
-            std::max(model.bottomMlp().maxPaddedK(),
-                     model.topMlp().maxPaddedK());
-        s.qact.reserve(max_batch * max_padded_k);
-        s.embPtrs.reserve(cfg.tables);
-        s.concat.indices.resize(cfg.tables);
-        s.concat.offsets.resize(cfg.tables);
-        for (std::size_t t = 0; t < cfg.tables; ++t) {
-            s.concat.indices[t].reserve(max_batch * max_lookups);
-            s.concat.offsets[t].reserve(max_batch + 1);
-        }
+    _dense.reshape(max_batch, cfg.denseDim());
+    _embOut.reshape(cfg.tables, max_batch * cfg.dim);
+    _bottomOut.reshape(max_batch, cfg.dim);
+    _interOut.reshape(max_batch, cfg.topInputDim());
+    _pred.reshape(max_batch, 1);
+    _mlpA.reshape(max_batch, widest);
+    _mlpB.reshape(max_batch, widest);
+    // Int8 activation staging: the widest quantized layer input across
+    // both MLPs (paddedK is per-layer; the buffer is resized down per
+    // call without reallocating).
+    const std::size_t max_padded_k = std::max(
+        model.bottomMlp().maxPaddedK(), model.topMlp().maxPaddedK());
+    _qact.reserve(max_batch * max_padded_k);
+    _embPtrs.reserve(cfg.tables);
+    _concat.indices.resize(cfg.tables);
+    _concat.offsets.resize(cfg.tables);
+    for (std::size_t t = 0; t < cfg.tables; ++t) {
+        _concat.indices[t].reserve(max_batch * max_lookups);
+        _concat.offsets[t].reserve(max_batch + 1);
     }
 }
 
@@ -155,123 +148,63 @@ ForwardWorkspace::forward(const DlrmModel& model, const Tensor& dense,
                           HotTierCache *tier)
 {
     assert(sparse.batchSize <= _maxBatch);
-    StageBuffers& s = _sets[0];
     if (dtype == EmbDtype::Int8) {
-        model.bottomMlp().forwardInt8(dense, s.bottomOut, s.mlpA,
-                                      s.mlpB, s.qact);
+        model.bottomMlp().forwardInt8(dense, _bottomOut, _mlpA, _mlpB,
+                                      _qact);
     } else {
-        model.bottomMlp().forward(dense, s.bottomOut, s.mlpA, s.mlpB);
+        model.bottomMlp().forward(dense, _bottomOut, _mlpA, _mlpB);
     }
-    model.embeddingForward(sparse, s.embOut, pf, dtype, tier);
-    model.interactionForward(s.bottomOut, s.embOut, sparse.batchSize,
-                             s.interOut, s.embPtrs);
+    model.embeddingForward(sparse, _embOut, pf, dtype, tier);
+    model.interactionForward(_bottomOut, _embOut, sparse.batchSize,
+                             _interOut, _embPtrs);
     if (dtype == EmbDtype::Int8) {
-        model.topMlp().forwardInt8(s.interOut, s.pred, s.mlpA, s.mlpB,
-                                   s.qact);
+        model.topMlp().forwardInt8(_interOut, _pred, _mlpA, _mlpB, _qact);
     } else {
-        model.topMlp().forward(s.interOut, s.pred, s.mlpA, s.mlpB);
+        model.topMlp().forward(_interOut, _pred, _mlpA, _mlpB);
     }
-    sigmoidInplace(s.pred.data(), s.pred.size());
-    _lastCompute = 0;
-    return s.pred;
-}
-
-const SparseBatch&
-ForwardWorkspace::coalesceInto(
-    std::size_t set, const std::vector<const SparseBatch *>& parts,
-    const std::vector<const Tensor *>& dense_parts)
-{
-    if (parts.size() != dense_parts.size()) {
-        throw IndexError(
-            "ForwardWorkspace::coalesce: need one dense block per "
-            "sparse part");
-    }
-    StageBuffers& s = _sets[set];
-    const SparseBatch& merged = concatSparseBatches(parts, s.concat);
-
-    const std::size_t dense_dim =
-        dense_parts.empty() ? 0 : dense_parts.front()->cols();
-    s.dense.reshape(merged.batchSize, dense_dim);
-    std::size_t row = 0;
-    for (const Tensor *d : dense_parts) {
-        std::memcpy(s.dense.row(row), d->data(),
-                    d->size() * sizeof(float));
-        row += d->rows();
-    }
-    return merged;
+    sigmoidInplace(_pred.data(), _pred.size());
+    return _pred;
 }
 
 const SparseBatch&
 ForwardWorkspace::coalesce(const std::vector<const SparseBatch *>& parts,
                            const std::vector<const Tensor *>& dense_parts)
 {
-    return coalesceInto(0, parts, dense_parts);
-}
-
-std::size_t
-ForwardWorkspace::stageGather(
-    const DlrmModel& model, const std::vector<const SparseBatch *>& parts,
-    const std::vector<const Tensor *>& dense_parts,
-    const PrefetchSpec& pf, EmbDtype dtype, HotTierCache *tier)
-{
-    const std::size_t set = _gatherNext;
-    StageBuffers& s = _sets[set];
-    const SparseBatch& merged = coalesceInto(set, parts, dense_parts);
-    assert(merged.batchSize <= _maxBatch);
-    model.embeddingForward(merged, s.embOut, pf, dtype, tier);
-    s.batch = merged.batchSize;
-    _gatherNext = (_gatherNext + 1) % numSets;
-    return set;
-}
-
-const Tensor&
-ForwardWorkspace::stageCompute(const DlrmModel& model, std::size_t set,
-                               EmbDtype dtype)
-{
-    StageBuffers& s = _sets[set];
-    if (dtype == EmbDtype::Int8) {
-        // The u8·s8 engine has no feature-major entry point: run
-        // forward()'s exact Int8 sequence so the streamed and fused
-        // paths serve the same bits.
-        model.bottomMlp().forwardInt8(s.dense, s.bottomOut, s.mlpA,
-                                      s.mlpB, s.qact);
-        model.interactionForward(s.bottomOut, s.embOut, s.batch,
-                                 s.interOut, s.embPtrs);
-        model.topMlp().forwardInt8(s.interOut, s.pred, s.mlpA, s.mlpB,
-                                   s.qact);
-    } else {
-        model.bottomMlp().forward(s.dense, s.bottomOut, s.mlpA, s.mlpB);
-        model.interactionForwardTransposed(s.bottomOut, s.embOut,
-                                           s.batch, s.interOutT,
-                                           s.embPtrs);
-        model.topMlp().forwardFromTransposed(s.interOutT, s.pred, s.mlpA,
-                                             s.mlpB);
+    if (parts.size() != dense_parts.size()) {
+        throw IndexError(
+            "ForwardWorkspace::coalesce: need one dense block per "
+            "sparse part");
     }
-    sigmoidInplace(s.pred.data(), s.pred.size());
-    _lastCompute = set;
-    return s.pred;
+    const SparseBatch& merged = concatSparseBatches(parts, _concat);
+
+    const std::size_t dense_dim =
+        dense_parts.empty() ? 0 : dense_parts.front()->cols();
+    _dense.reshape(merged.batchSize, dense_dim);
+    std::size_t row = 0;
+    for (const Tensor *d : dense_parts) {
+        std::memcpy(_dense.row(row), d->data(), d->size() * sizeof(float));
+        row += d->rows();
+    }
+    return merged;
 }
 
 std::size_t
 ForwardWorkspace::bufferFingerprint() const
 {
     std::size_t h = 0;
-    for (const StageBuffers& s : _sets) {
-        hashPtr(h, s.bottomOut.data());
-        hashPtr(h, s.embOut.data());
-        hashPtr(h, s.interOut.data());
-        hashPtr(h, s.interOutT.data());
-        hashPtr(h, s.pred.data());
-        hashPtr(h, s.mlpA.data());
-        hashPtr(h, s.mlpB.data());
-        hashPtr(h, s.qact.data());
-        hashPtr(h, s.dense.data());
-        hashPtr(h, s.embPtrs.data());
-        for (const auto& v : s.concat.indices)
-            hashPtr(h, v.data());
-        for (const auto& v : s.concat.offsets)
-            hashPtr(h, v.data());
-    }
+    hashPtr(h, _bottomOut.data());
+    hashPtr(h, _embOut.data());
+    hashPtr(h, _interOut.data());
+    hashPtr(h, _pred.data());
+    hashPtr(h, _mlpA.data());
+    hashPtr(h, _mlpB.data());
+    hashPtr(h, _qact.data());
+    hashPtr(h, _dense.data());
+    hashPtr(h, _embPtrs.data());
+    for (const auto& v : _concat.indices)
+        hashPtr(h, v.data());
+    for (const auto& v : _concat.offsets)
+        hashPtr(h, v.data());
     return h;
 }
 

@@ -25,7 +25,6 @@
 #ifndef DLRMOPT_CORE_BATCHING_HPP
 #define DLRMOPT_CORE_BATCHING_HPP
 
-#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -85,64 +84,15 @@ void splitPredictions(const Tensor& pred,
                       std::vector<PredictionSpan>& out);
 
 /**
- * One rotating buffer set of the stage-pipelined forward: everything
- * the gather stage (sparse concat + dense staging + embedding bag)
- * writes for one dispatch, plus the compute stage's private scratch
- * and outputs for the same dispatch.
+ * Preallocated scratch state for the batched forward path.
  *
- * The streaming pipeline keeps two of these. While the compute stage
- * (bottom MLP -> interaction -> top MLP -> sigmoid) consumes set k,
- * the gather stage for dispatch k+1 fills the sibling set — the two
- * touch disjoint storage, which is what makes the overlap race-free.
- */
-struct StageBuffers
-{
-    // --- gather-stage outputs (handed off to the compute stage) ---
-    SparseBatch concat;      //!< coalesced sparse lookups
-    Tensor dense;            //!< staged dense rows [batch x denseDim]
-    Tensor embOut;           //!< pooled embeddings [tables x batch*dim]
-    std::size_t batch = 0;   //!< coalesced batch size staged here
-
-    // --- compute-stage scratch and outputs ---
-    Tensor bottomOut;        //!< [batch x dim]
-    Tensor interOut;         //!< row-major [batch x topInputDim]
-    Tensor interOutT;        //!< feature-major [topInputDim x batch]
-    Tensor pred;             //!< [batch x 1]
-    Tensor mlpA;             //!< MLP ping-pong scratch
-    Tensor mlpB;
-    std::vector<const float *> embPtrs; //!< interaction pointer table
-    std::vector<std::uint8_t> qact;     //!< int8 activation staging
-};
-
-/**
- * Preallocated scratch state for the batched forward path, organized
- * as two rotating StageBuffers sets.
- *
- * reserve() sizes every buffer of both sets — stage tensors, MLP
- * ping-pong scratch, the interaction pointer table, the dense staging
- * tensor, and the sparse concatenation buffer — for a maximum
- * coalesced batch, after which forward(), coalesce(), and the
- * stageGather()/stageCompute() pipeline perform no heap allocations
- * for any batch up to that size. bufferFingerprint() exposes the
- * backing-store addresses of both sets so tests can assert the steady
- * state really reuses storage.
- *
- * Two usage modes:
- *
- *  - Sequential (forward() / coalesce()): the pre-pipeline behaviour,
- *    operating on set 0 with the row-major interaction + m-major top
- *    MLP. Bitwise-identical to DlrmModel::forward.
- *
- *  - Pipelined (stageGather() / stageCompute()): stageGather stages
- *    dispatch k+1's sparse/dense inputs and runs the memory-bound
- *    embedding bag into the next rotation set while stageCompute runs
- *    the compute-bound half of dispatch k on the sibling set — the
- *    interaction writes feature-major and the top-MLP first layer
- *    consumes it through the n-major packed engine, so the handoff
- *    needs no repack. Predictions are bitwise-identical to the
- *    sequential path (the n-major kernels run the same per-element
- *    fmaf chains). The two calls touch disjoint sets and may run
- *    concurrently on different cores.
+ * reserve() sizes every buffer — stage tensors, MLP ping-pong
+ * scratch, the interaction pointer table, the dense staging tensor,
+ * and the sparse concatenation buffer — for a maximum coalesced batch,
+ * after which forward() and coalesce() perform no heap allocations for
+ * any batch up to that size. bufferFingerprint() exposes the
+ * backing-store addresses so tests can assert the steady state really
+ * reuses storage. forward() is bitwise-identical to DlrmModel::forward.
  */
 class ForwardWorkspace
 {
@@ -161,17 +111,17 @@ class ForwardWorkspace
     std::size_t maxBatch() const { return _maxBatch; }
 
     /**
-     * Full forward pass into set 0's buffers; returns the prediction
-     * tensor [batch x 1] (owned by the workspace, valid until the
-     * next call). Zero heap allocations for batches within the
-     * reserved capacity; bitwise-identical to DlrmModel::forward with
-     * a fresh DlrmWorkspace.
+     * Full forward pass into the workspace's buffers; returns the
+     * prediction tensor [batch x 1] (owned by the workspace, valid
+     * until the next call). Zero heap allocations for batches within
+     * the reserved capacity; bitwise-identical to DlrmModel::forward
+     * with a fresh DlrmWorkspace.
      *
      * @param dense Dense features [sparse.batchSize x denseDim].
      * @param dtype Inference precision (see DlrmModel::forward):
      *        Bf16 swaps in the bf16 fused-dequant bags, Int8 the int8
-     *        bags plus the u8·s8 MLP engine staged through the set's
-     *        qact buffer.
+     *        bags plus the u8·s8 MLP engine staged through the
+     *        workspace's qact buffer.
      * @param tier Optional hot tier for the embedding stage (see
      *        DlrmModel::embeddingForward); bitwise-identical output
      *        with or without it.
@@ -184,7 +134,7 @@ class ForwardWorkspace
 
     /**
      * Coalesces member requests (sparse inputs plus their dense
-     * feature blocks) into set 0's staging buffers.
+     * feature blocks) into the workspace's staging buffers.
      *
      * @param parts Member sparse batches.
      * @param dense_parts dense_parts[i] is member i's dense features,
@@ -198,81 +148,29 @@ class ForwardWorkspace
              const std::vector<const Tensor *>& dense_parts);
 
     /** Dense rows staged by the last coalesce(). */
-    const Tensor& stagedDense() const { return _sets[0].dense; }
+    const Tensor& stagedDense() const { return _dense; }
 
-    /** Predictions of the last forward() / stageCompute(). */
-    const Tensor& predictions() const
-    {
-        return _sets[_lastCompute].pred;
-    }
-
-    /** Predictions held by rotation set @p set. */
-    const Tensor& predictions(std::size_t set) const
-    {
-        return _sets[set].pred;
-    }
+    /** Predictions of the last forward(). */
+    const Tensor& predictions() const { return _pred; }
 
     /**
-     * Pipeline gather stage: coalesces the members into the next
-     * rotation set and runs the memory-bound embedding bag there.
-     * Returns the set index staged (pass it to stageCompute). Safe to
-     * run concurrently with a stageCompute on the other set; the
-     * caller serializes successive gathers.
-     *
-     * @param dtype Precision of the embedding bags (the stage this
-     *        lane exists to overlap is exactly the bandwidth-bound
-     *        one quantization accelerates). Pooled bag outputs are
-     *        fp32 at every precision, so the handoff is unchanged;
-     *        pass the same dtype to stageCompute.
-     * @param tier Optional hot tier for the staged bags (see
-     *        DlrmModel::embeddingForward).
-     */
-    std::size_t stageGather(const DlrmModel& model,
-                            const std::vector<const SparseBatch *>& parts,
-                            const std::vector<const Tensor *>& dense_parts,
-                            const PrefetchSpec& pf = {},
-                            EmbDtype dtype = EmbDtype::Fp32,
-                            HotTierCache *tier = nullptr);
-
-    /**
-     * Pipeline compute stage over rotation set @p set: bottom MLP,
-     * feature-major interaction, top MLP through the n-major packed
-     * engine, sigmoid. At EmbDtype::Int8 the MLPs run the u8·s8
-     * engine over the row-major interaction, exactly as forward()
-     * does. Returns the set's prediction tensor [batch x 1];
-     * bitwise-identical to forward() on the same inputs and dtype.
-     */
-    const Tensor& stageCompute(const DlrmModel& model, std::size_t set,
-                               EmbDtype dtype = EmbDtype::Fp32);
-
-    /**
-     * Resets the rotation so the next stageGather uses set 0
-     * (deterministic pipeline starts in tests/benches).
-     */
-    void resetRotation() { _gatherNext = 0; }
-
-    /** Number of rotating buffer sets (double buffering). */
-    static constexpr std::size_t numSets = 2;
-
-    /**
-     * Hash of every backing-store address across both rotation sets.
-     * Unchanged across calls means no buffer was reallocated — the
-     * workspace-reuse assertion behind the zero-allocation claim, and
-     * the corruption probe the pipeline fault tests lean on (a failed
-     * in-flight stage must leave the sibling set's storage alone).
+     * Hash of every backing-store address. Unchanged across calls
+     * means no buffer was reallocated — the workspace-reuse assertion
+     * behind the zero-allocation claim.
      */
     std::size_t bufferFingerprint() const;
 
   private:
-    /** Coalesce @p parts into set @p s; returns the merged view. */
-    const SparseBatch&
-    coalesceInto(std::size_t s,
-                 const std::vector<const SparseBatch *>& parts,
-                 const std::vector<const Tensor *>& dense_parts);
-
-    std::array<StageBuffers, numSets> _sets;
-    std::size_t _gatherNext = 0;  //!< set the next stageGather fills
-    std::size_t _lastCompute = 0; //!< set holding the latest pred
+    SparseBatch _concat;     //!< coalesced sparse lookups
+    Tensor _dense;           //!< staged dense rows [batch x denseDim]
+    Tensor _embOut;          //!< pooled embeddings [tables x batch*dim]
+    Tensor _bottomOut;       //!< [batch x dim]
+    Tensor _interOut;        //!< row-major [batch x topInputDim]
+    Tensor _pred;            //!< [batch x 1]
+    Tensor _mlpA;            //!< MLP ping-pong scratch
+    Tensor _mlpB;
+    std::vector<const float *> _embPtrs; //!< interaction pointer table
+    std::vector<std::uint8_t> _qact;     //!< int8 activation staging
     std::size_t _maxBatch = 0;
 };
 

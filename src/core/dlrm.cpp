@@ -175,20 +175,6 @@ DlrmModel::interactionForward(const Tensor& bottom_out,
 }
 
 void
-DlrmModel::interactionForwardTransposed(
-    const Tensor& bottom_out, const Tensor& emb_out, std::size_t batch,
-    Tensor& out_t, std::vector<const float *>& emb_scratch) const
-{
-    emb_scratch.resize(_cfg.tables);
-    for (std::size_t t = 0; t < _cfg.tables; ++t)
-        emb_scratch[t] = emb_out.row(t);
-    out_t.reshape(_cfg.topInputDim(), batch);
-    dotInteractionTransposed(bottom_out.data(), emb_scratch,
-                             _cfg.tables, batch, _cfg.dim,
-                             out_t.data());
-}
-
-void
 DlrmModel::topForward(const Tensor& inter_out, Tensor& pred,
                       EmbDtype dtype) const
 {

@@ -235,19 +235,6 @@ class DlrmModel
                             std::size_t batch, Tensor& out,
                             std::vector<const float *>& emb_scratch) const;
 
-    /**
-     * Feature-major interaction: @p out_t is reshaped to
-     * [topInputDim() x batch] (sample b's feature f at row f, column
-     * b) — the layout Mlp::forwardFromTransposed consumes without a
-     * repack. Every value is computed by the identical dot chain as
-     * interactionForward, so the two outputs are bitwise-equal
-     * transposes of each other.
-     */
-    void interactionForwardTransposed(
-        const Tensor& bottom_out, const Tensor& emb_out,
-        std::size_t batch, Tensor& out_t,
-        std::vector<const float *>& emb_scratch) const;
-
     /** Runs the top MLP and sigmoid, producing CTR predictions.
      *  @p dtype routes the MLP like bottomForward. */
     void topForward(const Tensor& inter_out, Tensor& pred,

@@ -56,14 +56,8 @@ using MicroFn = void (*)(const float *a, std::size_t lda,
  * branchless "acc > 0 ? acc : 0" ReLU — the same per-lane arithmetic
  * the masked AVX-512/AVX2 paths perform, so all levels are bitwise
  * equal.
- *
- * TA selects the activation layout: m-major (element (m,k) at
- * a[m*lda + k], lda = in_dim) or n-major/transposed (element (m,k) at
- * a[k*lda + m], lda = batch). Only the load address changes — the fmaf
- * chain itself is identical, so both layouts produce bitwise-equal
- * outputs for equal activation values.
  */
-template <int MR, bool TA>
+template <int MR>
 void
 microScalar(const float *a, std::size_t lda, const float *pb,
             std::size_t kk, float *c, std::size_t ldc, std::size_t nv,
@@ -75,9 +69,7 @@ microScalar(const float *a, std::size_t lda, const float *pb,
         for (std::size_t j = 0; j < nv; ++j) {
             float acc = first ? 0.0f : cm[j];
             for (std::size_t k = 0; k < kk; ++k) {
-                const float av =
-                    TA ? a[k * lda + mu] : a[mu * lda + k];
-                acc = std::fmaf(av, pb[k * NR + j], acc);
+                acc = std::fmaf(a[mu * lda + k], pb[k * NR + j], acc);
             }
             if (last) {
                 if (bias)
@@ -91,11 +83,7 @@ microScalar(const float *a, std::size_t lda, const float *pb,
 }
 
 constexpr std::array<MicroFn, 4> kScalarFns = {
-    microScalar<1, false>, microScalar<2, false>,
-    microScalar<3, false>, microScalar<4, false>};
-constexpr std::array<MicroFn, 4> kScalarTFns = {
-    microScalar<1, true>, microScalar<2, true>,
-    microScalar<3, true>, microScalar<4, true>};
+    microScalar<1>, microScalar<2>, microScalar<3>, microScalar<4>};
 
 #if DLRMOPT_GEMM_X86 && defined(__AVX2__)
 
@@ -110,10 +98,8 @@ avx2Mask(std::size_t valid)
         reinterpret_cast<const __m256i *>(table + (8 - valid)));
 }
 
-/** 4x16 AVX2 microkernel: two ymm accumulators per sample row.
- *  TA flips the activation broadcast address to the n-major layout
- *  (same FMA order, so bitwise-equal outputs). */
-template <int MR, bool TA>
+/** 4x16 AVX2 microkernel: two ymm accumulators per sample row. */
+template <int MR>
 void
 microAvx2(const float *a, std::size_t lda, const float *pb,
           std::size_t kk, float *c, std::size_t ldc, std::size_t nv,
@@ -136,9 +122,8 @@ microAvx2(const float *a, std::size_t lda, const float *pb,
         const __m256 w0 = _mm256_loadu_ps(pb + k * NR);
         const __m256 w1 = _mm256_loadu_ps(pb + k * NR + 8);
         for (int m = 0; m < MR; ++m) {
-            const std::size_t mu = static_cast<std::size_t>(m);
             const __m256 av = _mm256_broadcast_ss(
-                TA ? a + k * lda + mu : a + mu * lda + k);
+                a + static_cast<std::size_t>(m) * lda + k);
             acc[m][0] = _mm256_fmadd_ps(av, w0, acc[m][0]);
             acc[m][1] = _mm256_fmadd_ps(av, w1, acc[m][1]);
         }
@@ -168,11 +153,7 @@ microAvx2(const float *a, std::size_t lda, const float *pb,
 }
 
 constexpr std::array<MicroFn, 4> kAvx2Fns = {
-    microAvx2<1, false>, microAvx2<2, false>, microAvx2<3, false>,
-    microAvx2<4, false>};
-constexpr std::array<MicroFn, 4> kAvx2TFns = {
-    microAvx2<1, true>, microAvx2<2, true>, microAvx2<3, true>,
-    microAvx2<4, true>};
+    microAvx2<1>, microAvx2<2>, microAvx2<3>, microAvx2<4>};
 #define DLRMOPT_GEMM_HAVE_AVX2 1
 #else
 #define DLRMOPT_GEMM_HAVE_AVX2 0
@@ -180,10 +161,8 @@ constexpr std::array<MicroFn, 4> kAvx2TFns = {
 
 #if DLRMOPT_GEMM_X86 && defined(__AVX512F__)
 
-/** 6x16 AVX-512 microkernel: one zmm accumulator per sample row.
- *  TA flips the activation broadcast address to the n-major layout
- *  (same FMA order, so bitwise-equal outputs). */
-template <int MR, bool TA>
+/** 6x16 AVX-512 microkernel: one zmm accumulator per sample row. */
+template <int MR>
 void
 microAvx512(const float *a, std::size_t lda, const float *pb,
             std::size_t kk, float *c, std::size_t ldc, std::size_t nv,
@@ -203,9 +182,8 @@ microAvx512(const float *a, std::size_t lda, const float *pb,
     for (std::size_t k = 0; k < kk; ++k) {
         const __m512 wv = _mm512_loadu_ps(pb + k * NR);
         for (int m = 0; m < MR; ++m) {
-            const std::size_t mu = static_cast<std::size_t>(m);
-            const __m512 av = _mm512_set1_ps(
-                TA ? a[k * lda + mu] : a[mu * lda + k]);
+            const __m512 av =
+                _mm512_set1_ps(a[static_cast<std::size_t>(m) * lda + k]);
             acc[m] = _mm512_fmadd_ps(av, wv, acc[m]);
         }
     }
@@ -228,11 +206,8 @@ microAvx512(const float *a, std::size_t lda, const float *pb,
 }
 
 constexpr std::array<MicroFn, 6> kAvx512Fns = {
-    microAvx512<1, false>, microAvx512<2, false>, microAvx512<3, false>,
-    microAvx512<4, false>, microAvx512<5, false>, microAvx512<6, false>};
-constexpr std::array<MicroFn, 6> kAvx512TFns = {
-    microAvx512<1, true>, microAvx512<2, true>, microAvx512<3, true>,
-    microAvx512<4, true>, microAvx512<5, true>, microAvx512<6, true>};
+    microAvx512<1>, microAvx512<2>, microAvx512<3>,
+    microAvx512<4>, microAvx512<5>, microAvx512<6>};
 #define DLRMOPT_GEMM_HAVE_AVX512 1
 #else
 #define DLRMOPT_GEMM_HAVE_AVX512 0
@@ -246,23 +221,18 @@ struct MicroSet
 };
 
 MicroSet
-microSetFor(SimdLevel level, bool trans = false)
+microSetFor(SimdLevel level)
 {
 #if DLRMOPT_GEMM_HAVE_AVX512
-    if (level == SimdLevel::Avx512) {
-        return trans ? MicroSet{kAvx512TFns.data(), kAvx512TFns.size()}
-                     : MicroSet{kAvx512Fns.data(), kAvx512Fns.size()};
-    }
+    if (level == SimdLevel::Avx512)
+        return MicroSet{kAvx512Fns.data(), kAvx512Fns.size()};
 #endif
 #if DLRMOPT_GEMM_HAVE_AVX2
-    if (level != SimdLevel::Scalar) {
-        return trans ? MicroSet{kAvx2TFns.data(), kAvx2TFns.size()}
-                     : MicroSet{kAvx2Fns.data(), kAvx2Fns.size()};
-    }
+    if (level != SimdLevel::Scalar)
+        return MicroSet{kAvx2Fns.data(), kAvx2Fns.size()};
 #endif
     (void)level;
-    return trans ? MicroSet{kScalarTFns.data(), kScalarTFns.size()}
-                 : MicroSet{kScalarFns.data(), kScalarFns.size()};
+    return MicroSet{kScalarFns.data(), kScalarFns.size()};
 }
 
 /**
@@ -614,7 +584,7 @@ runPackedInt8(const std::uint8_t *qa, std::size_t batch,
 void
 runPacked(const float *in, std::size_t batch, const PackedWeights& w,
           const float *bias, float *out, bool relu, GemmTile tile,
-          const MicroSet& ms, bool trans = false)
+          const MicroSet& ms)
 {
     const std::size_t K = w.inDim();
     const std::size_t N = w.outDim();
@@ -623,10 +593,6 @@ runPacked(const float *in, std::size_t batch, const PackedWeights& w,
     std::size_t mr = tile.mr == 0 ? ms.maxMr : tile.mr;
     mr = std::min({mr, ms.maxMr, batch});
     const std::size_t kc = (tile.kc == 0 || tile.kc > K) ? K : tile.kc;
-    // m-major: activation rows stride by the depth. n-major
-    // (transposed): feature rows stride by the batch, so the
-    // (m0, k0) block starts at column m0 of feature row k0.
-    const std::size_t lda = trans ? batch : K;
 
     for (std::size_t p = 0; p < w.numPanels(); ++p) {
         const std::size_t n0 = p * NR;
@@ -637,7 +603,7 @@ runPacked(const float *in, std::size_t batch, const PackedWeights& w,
             // Degenerate depth: epilogue only (bias + optional ReLU).
             for (std::size_t m0 = 0; m0 < batch; m0 += mr) {
                 const std::size_t mm = std::min(mr, batch - m0);
-                ms.fns[mm - 1](in, lda, pb, 0, out + m0 * N + n0, N,
+                ms.fns[mm - 1](in, K, pb, 0, out + m0 * N + n0, N,
                                nv, pbias, relu, true, true);
             }
             continue;
@@ -648,9 +614,7 @@ runPacked(const float *in, std::size_t batch, const PackedWeights& w,
             const bool last = k0 + kk == K;
             for (std::size_t m0 = 0; m0 < batch; m0 += mr) {
                 const std::size_t mm = std::min(mr, batch - m0);
-                const float *ablk = trans ? in + k0 * batch + m0
-                                          : in + m0 * K + k0;
-                ms.fns[mm - 1](ablk, lda, pb + k0 * NR, kk,
+                ms.fns[mm - 1](in + m0 * K + k0, K, pb + k0 * NR, kk,
                                out + m0 * N + n0, N, nv, pbias, relu,
                                first, last);
             }
@@ -812,17 +776,23 @@ GemmTileCache::bucketRepresentative(int bucket)
     return reps[bucket];
 }
 
+GemmTileCache::Key
+GemmTileCache::keyOf(std::size_t batch, std::size_t in_dim,
+                     std::size_t out_dim, SimdLevel level, EmbDtype dtype)
+{
+    return Key{bucketOf(batch), in_dim, out_dim, static_cast<int>(level),
+               static_cast<int>(dtype)};
+}
+
 GemmTile
 GemmTileCache::lookup(std::size_t batch, std::size_t in_dim,
                       std::size_t out_dim, SimdLevel level,
-                      bool trans, EmbDtype dtype) const
+                      EmbDtype dtype) const
 {
-    const Key key{bucketOf(batch), in_dim, out_dim,
-                  static_cast<int>(level), trans ? 1 : 0,
-                  static_cast<int>(dtype)};
     {
         std::lock_guard<std::mutex> lock(_mu);
-        const auto it = _tiles.find(key);
+        const auto it =
+            _tiles.find(keyOf(batch, in_dim, out_dim, level, dtype));
         if (it != _tiles.end())
             return it->second;
     }
@@ -832,25 +802,19 @@ GemmTileCache::lookup(std::size_t batch, std::size_t in_dim,
 bool
 GemmTileCache::contains(std::size_t batch, std::size_t in_dim,
                         std::size_t out_dim, SimdLevel level,
-                        bool trans, EmbDtype dtype) const
+                        EmbDtype dtype) const
 {
-    const Key key{bucketOf(batch), in_dim, out_dim,
-                  static_cast<int>(level), trans ? 1 : 0,
-                  static_cast<int>(dtype)};
     std::lock_guard<std::mutex> lock(_mu);
-    return _tiles.count(key) != 0;
+    return _tiles.count(keyOf(batch, in_dim, out_dim, level, dtype)) != 0;
 }
 
 void
 GemmTileCache::install(std::size_t batch, std::size_t in_dim,
                        std::size_t out_dim, SimdLevel level,
-                       GemmTile tile, bool trans, EmbDtype dtype)
+                       GemmTile tile, EmbDtype dtype)
 {
-    const Key key{bucketOf(batch), in_dim, out_dim,
-                  static_cast<int>(level), trans ? 1 : 0,
-                  static_cast<int>(dtype)};
     std::lock_guard<std::mutex> lock(_mu);
-    _tiles[key] = tile;
+    _tiles[keyOf(batch, in_dim, out_dim, level, dtype)] = tile;
 }
 
 std::size_t
@@ -889,30 +853,6 @@ denseLayerForwardPackedLevel(SimdLevel level, const float *in,
 }
 
 void
-denseLayerForwardPackedTrans(const float *in_t, std::size_t batch,
-                             const PackedWeights& w, const float *bias,
-                             float *out, bool relu)
-{
-    const SimdLevel level = currentSimdLevel();
-    runPacked(in_t, batch, w, bias, out, relu,
-              GemmTileCache::instance().lookup(batch, w.inDim(),
-                                               w.outDim(), level,
-                                               /*trans=*/true),
-              microSetFor(level, /*trans=*/true), /*trans=*/true);
-}
-
-void
-denseLayerForwardPackedTransLevel(SimdLevel level, const float *in_t,
-                                  std::size_t batch,
-                                  const PackedWeights& w,
-                                  const float *bias, float *out,
-                                  bool relu, const GemmTile& tile)
-{
-    runPacked(in_t, batch, w, bias, out, relu, tile,
-              microSetFor(level, /*trans=*/true), /*trans=*/true);
-}
-
-void
 denseLayerForwardPackedInt8(const std::uint8_t *qin, std::size_t batch,
                             const PackedWeightsInt8& w,
                             const float *bias, float *out, bool relu,
@@ -920,9 +860,9 @@ denseLayerForwardPackedInt8(const std::uint8_t *qin, std::size_t batch,
 {
     const SimdLevel level = currentSimdLevel();
     runPackedInt8(qin, batch, w, bias, out, relu, ascale, amin,
-                  GemmTileCache::instance().lookup(
-                      batch, w.inDim(), w.outDim(), level,
-                      /*trans=*/false, EmbDtype::Int8),
+                  GemmTileCache::instance().lookup(batch, w.inDim(),
+                                                   w.outDim(), level,
+                                                   EmbDtype::Int8),
                   microSetForInt8(level));
 }
 

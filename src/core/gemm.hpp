@@ -271,11 +271,11 @@ GemmTile defaultGemmTile(std::size_t batch, std::size_t in_dim,
 
 /**
  * Process-wide table of autotuned tiles, keyed by
- * (m-bucket, in_dim, out_dim, SimdLevel). The packed forward consults
- * it on every call (falling back to defaultGemmTile on a miss), and
- * tuneGemmTile() installs winners. Buckets coarsen the batch axis so
- * one tuning pass at a representative m covers the whole bucket:
- * m = 1 | 2-4 | 5-16 | 17-64 | 65+.
+ * (m-bucket, in_dim, out_dim, SimdLevel, engine dtype). The packed
+ * forward consults it on every call (falling back to defaultGemmTile
+ * on a miss), and tuneGemmTile() installs winners. Buckets coarsen the
+ * batch axis so one tuning pass at a representative m covers the
+ * whole bucket: m = 1 | 2-4 | 5-16 | 17-64 | 65+.
  *
  * Lookups are lock-guarded but allocation-free, so steady-state
  * forwards through a warm (or empty) cache stay zero-alloc.
@@ -296,28 +296,23 @@ class GemmTileCache
 
     /**
      * Cached tile for this point, or defaultGemmTile on a miss.
-     * @p trans keys the n-major (transposed-activation) engine
-     * variant separately — its streaming pattern over the activations
-     * differs, so the best blocking can too. @p dtype keys the u8·s8
-     * engine (Int8) separately from the fp32 kernels: its arithmetic
-     * density and panel footprint differ, so the best mr can too.
+     * @p dtype keys the u8·s8 engine (Int8) separately from the fp32
+     * kernels: its arithmetic density and panel footprint differ, so
+     * the best mr can too.
      */
     GemmTile lookup(std::size_t batch, std::size_t in_dim,
                     std::size_t out_dim, SimdLevel level,
-                    bool trans = false,
                     EmbDtype dtype = EmbDtype::Fp32) const;
 
     /** True when this exact point has an autotuned entry. */
     bool contains(std::size_t batch, std::size_t in_dim,
                   std::size_t out_dim, SimdLevel level,
-                  bool trans = false,
                   EmbDtype dtype = EmbDtype::Fp32) const;
 
-    /** Installs @p tile for (bucketOf(batch), shape, level, trans,
-     *  dtype). */
+    /** Installs @p tile for (bucketOf(batch), shape, level, dtype). */
     void install(std::size_t batch, std::size_t in_dim,
                  std::size_t out_dim, SimdLevel level, GemmTile tile,
-                 bool trans = false, EmbDtype dtype = EmbDtype::Fp32);
+                 EmbDtype dtype = EmbDtype::Fp32);
 
     /** Number of installed entries. */
     std::size_t size() const;
@@ -326,8 +321,11 @@ class GemmTileCache
     void clear();
 
   private:
-    using Key =
-        std::tuple<int, std::size_t, std::size_t, int, int, int>;
+    using Key = std::tuple<int, std::size_t, std::size_t, int, int>;
+
+    static Key keyOf(std::size_t batch, std::size_t in_dim,
+                     std::size_t out_dim, SimdLevel level,
+                     EmbDtype dtype);
 
     mutable std::mutex _mu;
     std::map<Key, GemmTile> _tiles;
@@ -362,36 +360,6 @@ void denseLayerForwardPackedLevel(SimdLevel level, const float *in,
                                   const PackedWeights& w,
                                   const float *bias, float *out,
                                   bool relu, const GemmTile& tile = {});
-
-/**
- * n-major (transposed-activation) packed dense layer:
- * out = act(A^T * W^T + b) where @p in_t holds the activations
- * feature-major, [w.inDim() x batch] row-major (element (m, k) at
- * in_t[k*batch + m]). The output stays row-major [batch x w.outDim()],
- * so one trans call converts a feature-major producer (the streaming
- * pipeline's interaction stage) back into the standard layout without
- * a separate repack pass.
- *
- * Only the activation load addresses differ from the m-major engine —
- * each output element runs the identical fmaf chain over ascending k
- * with the same fused epilogue — so results are bitwise-identical to
- * denseLayerForwardPacked on the same (untransposed) activations,
- * across SimdLevels and tiles alike.
- */
-void denseLayerForwardPackedTrans(const float *in_t, std::size_t batch,
-                                  const PackedWeights& w,
-                                  const float *bias, float *out,
-                                  bool relu);
-
-/** denseLayerForwardPackedTrans with a forced ISA level and explicit
- *  tile (testing / ablation / autotuning). */
-void denseLayerForwardPackedTransLevel(SimdLevel level,
-                                       const float *in_t,
-                                       std::size_t batch,
-                                       const PackedWeights& w,
-                                       const float *bias, float *out,
-                                       bool relu,
-                                       const GemmTile& tile = {});
 
 /**
  * Quantizes a GEMM activation block to uint8 codes for the u8·s8

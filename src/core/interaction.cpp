@@ -47,31 +47,4 @@ dotInteraction(const float *bottom, const std::vector<const float *>& emb,
     }
 }
 
-void
-dotInteractionTransposed(const float *bottom,
-                         const std::vector<const float *>& emb,
-                         std::size_t num_tables, std::size_t batch,
-                         std::size_t dim, float *out_t)
-{
-    for (std::size_t b = 0; b < batch; ++b) {
-        const float *bot = bottom + b * dim;
-
-        // Passthrough of the dense features, scattered feature-major.
-        for (std::size_t d = 0; d < dim; ++d)
-            out_t[d * batch + b] = bot[d];
-
-        // Identical lower-triangular dot chain as dotInteraction;
-        // only the store address is transposed.
-        std::size_t k = dim;
-        for (std::size_t i = 0; i < num_tables; ++i) {
-            const float *vi = emb[i] + b * dim;
-            out_t[k++ * batch + b] = dot(vi, bot, dim);
-            for (std::size_t j = 0; j < i; ++j) {
-                const float *vj = emb[j] + b * dim;
-                out_t[k++ * batch + b] = dot(vi, vj, dim);
-            }
-        }
-    }
-}
-
 } // namespace dlrmopt::core

@@ -47,21 +47,6 @@ void dotInteraction(const float *bottom,
                     std::size_t num_tables, std::size_t batch,
                     std::size_t dim, float *out);
 
-/**
- * dotInteraction with a feature-major (n-major / transposed) output:
- * @p out_t is [interactionOutputDim(num_tables, dim) x batch], with
- * sample b's feature f at out_t[f*batch + b]. Each value is computed
- * by the identical dot-product chain as dotInteraction — only the
- * store address differs — so the transposed output is bitwise-equal
- * to the row-major one, element for element. This is the layout the
- * n-major packed GEMM consumes directly, letting the streaming
- * pipeline feed the top-MLP first layer without a repack pass.
- */
-void dotInteractionTransposed(const float *bottom,
-                              const std::vector<const float *>& emb,
-                              std::size_t num_tables, std::size_t batch,
-                              std::size_t dim, float *out_t);
-
 } // namespace dlrmopt::core
 
 #endif // DLRMOPT_CORE_INTERACTION_HPP

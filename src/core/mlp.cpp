@@ -163,33 +163,4 @@ Mlp::forwardInt8(const Tensor& in, Tensor& out, Tensor& scratch_a,
     }
 }
 
-void
-Mlp::forwardFromTransposed(const Tensor& in_t, Tensor& out,
-                           Tensor& scratch_a, Tensor& scratch_b) const
-{
-    assert(in_t.rows() == inputDim());
-    const std::size_t batch = in_t.cols();
-
-    const float *src = nullptr;
-    for (std::size_t l = 0; l < _weights.size(); ++l) {
-        const bool last = (l + 1 == _weights.size());
-        const std::size_t od = _dims[l + 1];
-        Tensor& dst = last ? out : (l % 2 == 0 ? scratch_a : scratch_b);
-        dst.reshape(batch, od);
-        if (l == 0) {
-            // First layer consumes the feature-major input through
-            // the n-major engine; its output is row-major, so the
-            // rest of the ping-pong is the standard path.
-            denseLayerForwardPackedTrans(in_t.data(), batch,
-                                         _packed[0], _biases[0].data(),
-                                         dst.data(), !last);
-        } else {
-            denseLayerForwardPacked(src, batch, _packed[l],
-                                    _biases[l].data(), dst.data(),
-                                    !last);
-        }
-        src = dst.data();
-    }
-}
-
 } // namespace dlrmopt::core

@@ -89,19 +89,6 @@ class Mlp
                  Tensor& scratch_b) const;
 
     /**
-     * forward() from a feature-major (transposed) input: @p in_t is
-     * [inputDim() x batch] with sample m's feature k at
-     * in_t[k*batch + m]. The first layer runs through the n-major
-     * packed engine (no repack pass); later layers and the output are
-     * row-major as usual. Bitwise-identical to forward() on the
-     * untransposed activations — the n-major microkernels run the
-     * same per-element fmaf chain, only the load addresses differ.
-     */
-    void forwardFromTransposed(const Tensor& in_t, Tensor& out,
-                               Tensor& scratch_a,
-                               Tensor& scratch_b) const;
-
-    /**
      * forward() through the u8·s8 packed engine: each layer quantizes
      * its input activations to uint8 (per-tensor, qmax 127) and runs
      * the int8 microkernels against the layer's s8-quantized weights

@@ -85,10 +85,9 @@ class Topology
                               std::size_t threads_per_core);
 
     /**
-     * Gather/compute core-group split for the stage-pipelined serving
-     * dispatch: the memory-bound embedding-gather stage and the
-     * compute-bound interaction+MLP stage run on disjoint core groups
-     * so dispatch k+1's gather overlaps dispatch k's compute. The
+     * Gather/compute core-group split for overlapping the
+     * memory-bound embedding-gather stage with the compute-bound
+     * interaction+MLP stage on disjoint core groups. The
      * gather group comes first (and takes the extra core when the
      * count is odd — the gather stage is the bandwidth-bound one the
      * paper shows dominating at-scale serving).
@@ -102,7 +101,7 @@ class Topology
     std::vector<std::vector<int>> _cores;
 };
 
-/** Disjoint core groups for the stage-pipelined serving dispatch. */
+/** Disjoint core groups for a gather/compute stage overlap. */
 struct PipelineSplit
 {
     Topology gather;  //!< cores for the embedding-gather stage

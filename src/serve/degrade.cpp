@@ -79,7 +79,6 @@ DegradationPolicy::stateForTier(int tier)
         s.dtype = core::EmbDtype::Int8;
         s.batchFraction = 0.5;
         s.prefetchEnabled = false;
-        s.scheme = core::Scheme::Baseline; // sequential stage order
         s.knobFactor = 0.50;
         break;
     }

@@ -8,16 +8,16 @@
  * admitted sample at reduced precision (bounded accuracy loss) before
  * any tier starts shrinking batches or shedding requests outright:
  *
- *   tier 0  fp32, full batch, prefetching on, MP-HT stage overlap
- *           (a streamed session's gather/compute pipeline)
+ *   tier 0  fp32, full batch, prefetching on
  *   tier 1  bf16 embedding bags (half the bag bandwidth; MLPs fp32)
  *   tier 2  int8 embedding bags + u8·s8 MLP engine
  *   tier 3  + batch shrunk to half (sheds work per request)
  *   tier 4  + software-prefetch autotuning disabled (fixed kernel, no
  *             tuning overhead or mistuned-prefetch cache pollution)
- *   tier 5  + Sequential execution scheme (a streamed session
- *             drains its pipeline: no cross-thread stage handoff;
- *             the most predictable path)
+ *   tier 5  executes exactly like tier 4; it differs only in the
+ *             unbatched price factor (knobFactor 0.50 vs 0.55), which
+ *             only the per-request virtual clocks of an unbatched
+ *             Server session and the Router apply
  *
  * Escalation happens when the window p95 exceeds the high-water
  * fraction of the SLA; de-escalation when it stays below the
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "core/quant.hpp"
-#include "core/scheme.hpp"
 
 namespace dlrmopt::serve
 {
@@ -68,7 +67,6 @@ struct DegradeState
     int tier = 0;
     double batchFraction = 1.0; //!< fraction of samples actually run
     bool prefetchEnabled = true;
-    core::Scheme scheme = core::Scheme::MpHt;
 
     /**
      * Inference precision the tier executes at. Quantized tiers run
@@ -88,7 +86,7 @@ struct DegradeState
 
     /**
      * The non-precision residual of serviceFactor (batch shrink,
-     * prefetch, scheme). serviceFactor == knobFactor * the dtype
+     * prefetch). serviceFactor == knobFactor * the dtype
      * speedup, so pricing that swaps in a measured per-dtype
      * ServiceModel (ServerConfig::dtypeServiceEnabled) multiplies by
      * knobFactor alone and never double-counts the precision win.

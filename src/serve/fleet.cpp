@@ -517,7 +517,7 @@ TenantFleet::serve(const std::vector<TenantWorkload>& work,
 
     // Per-tenant degradation: each tenant walks its own tier ladder
     // against its own SLA, so one tenant's tail blow-up shrinks only
-    // that tenant's coalescing cap and execution scheme. Tenants with
+    // that tenant's coalescing cap, precision and prefetch. Tenants with
     // degrade disabled (the default) stay pinned at tier 0.
     std::vector<DegradationPolicy> degrade;
     degrade.reserve(n_t);

@@ -56,13 +56,6 @@ struct ServeStats
      *  quantize-before-shed ladder doing its job. */
     std::size_t quantDispatches = 0;
 
-    /** Virtual busy time of the gather / compute pipeline lanes
-     *  (streamed dispatch only; both 0 for unpipelined sessions).
-     *  Their overlap is what the streamed mode's makespan win comes
-     *  from: gatherBusyMs + computeBusyMs can exceed makespanMs. */
-    double gatherBusyMs = 0.0;
-    double computeBusyMs = 0.0;
-
     /** Fraction of arrived requests rejected on arrival. */
     double
     shedRate() const

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <future>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -42,15 +40,6 @@ Server::Server(const core::DlrmModel& model,
         cfg.backoffCapMs < cfg.backoffBaseMs) {
         throw std::invalid_argument(
             "Server: backoff cap must be >= base >= 0");
-    }
-    if (cfg.streamed) {
-        if (!cfg.batching.enabled) {
-            throw std::invalid_argument(
-                "Server: streamed dispatch requires batching.enabled "
-                "(the streamed loop is a batched event loop)");
-        }
-        // Throws on an out-of-range gather fraction.
-        StageServiceModel::split(cfg.service, cfg.gatherFraction);
     }
     // The Server knows its core count, so it can range-check the one
     // FaultConfig knob validate() alone cannot.
@@ -129,41 +118,21 @@ Server::serve(const core::Tensor& dense,
               const std::vector<double>& arrivals_ms,
               const core::PrefetchSpec& pf)
 {
-    using Clock = std::chrono::steady_clock;
-    constexpr std::size_t kNoSet =
-        std::numeric_limits<std::size_t>::max();
-
     if (batches.empty())
         throw std::invalid_argument("Server: need at least one batch");
 
     const std::size_t cores = _pool.numCores();
     const std::size_t rows = _model.config().rows;
 
-    // The three modes differ only in these per-session rules:
+    // The two modes differ only in these per-session rules:
     //  - batching off is a coalescing cap of 1; the tier's
     //    batchFraction truncates each request instead of shrinking
     //    the cap, and its price carries tierServiceFactor;
     //  - batched sessions price a group at the tier's precision with
-    //    no tier factor;
-    //  - streamed sessions form groups against the base service and
-    //    price a gather and a compute lane from its split, times the
-    //    tier's serviceFactor.
+    //    no tier factor.
     const bool batching = _cfg.batching.enabled;
-    const bool streamed = _cfg.streamed;
     const std::size_t max_requests =
         batching ? _cfg.batching.maxRequests : 1;
-    const StageServiceModel stages =
-        streamed ? StageServiceModel::split(_cfg.service,
-                                            _cfg.gatherFraction)
-                 : StageServiceModel{};
-    const std::size_t lanes = streamed ? (cores > 1 ? 2 : 1) : cores;
-
-    // Streamed lane assignment mirrors Topology::pipelineSplit: the
-    // gather lane takes the first (larger) core group, the compute
-    // lane the first core of the second group. With one core both
-    // lanes share it and every dispatch is sequential.
-    constexpr std::size_t gather_core = 0;
-    const std::size_t compute_core = cores > 1 ? (cores + 1) / 2 : 0;
 
     DegradationPolicy policy(_cfg.degrade, _cfg.slaMs);
 
@@ -184,7 +153,6 @@ Server::serve(const core::Tensor& dense,
     const std::size_t max_dispatch = max_req_batch * max_requests;
     if (_batchWs.maxBatch() < max_dispatch)
         _batchWs.reserve(_model, max_dispatch, max_lookups);
-    _batchWs.resetRotation();
 
     DensePrefixes dense_rows(dense);
 
@@ -199,31 +167,8 @@ Server::serve(const core::Tensor& dense,
     ServeStats st;
     st.arrived = arrivals_ms.size();
     std::vector<double> free_at(cores, 0.0);
-    double lane_free[2] = {0.0, 0.0}; //!< streamed gather, compute
-    double gather_busy = 0.0;
-    double compute_busy = 0.0;
+    double busy = 0.0;
     double makespan = 0.0;
-
-    // Compute-end times of the last two dispatches: an overlapped
-    // gather k may not start before compute k-2 finishes (its
-    // StageBuffers set is still being read until then — the two-set
-    // ring constraint).
-    double ring[core::ForwardWorkspace::numSets] = {0.0, 0.0};
-    std::size_t dispatch_idx = 0;
-
-    // The streamed in-flight dispatch: gathered into a StageBuffers
-    // set, its compute stage not yet run.
-    struct Inflight
-    {
-        std::vector<PendingRequest> members;
-        std::vector<char> ok;           //!< per-member pre-dispatch ok
-        std::vector<std::size_t> sizes; //!< sizes of dispatched parts
-        std::size_t set = kNoSet;       //!< staged set, kNoSet = failed
-        core::EmbDtype dtype = core::EmbDtype::Fp32;
-        double endMs = 0.0;             //!< virtual compute-stage end
-        bool active = false;
-    };
-    Inflight pending;
 
     // Reused per-dispatch scratch (cleared, never shrunk).
     std::vector<PendingRequest> members;
@@ -233,108 +178,18 @@ Server::serve(const core::Tensor& dense,
     std::vector<char> member_ok;
     std::vector<core::SparseBatch> owned;
 
-    // Members whose pre-dispatch resolution and execution succeeded
-    // are served at @p end; the rest retry after backoff or fail.
-    const auto retire = [&](const std::vector<PendingRequest>& ms,
-                            const std::vector<char>& ok, bool exec_ok,
-                            double end) {
-        for (std::size_t i = 0; i < ms.size(); ++i) {
-            const auto& m = ms[i];
-            if (ok[i] && exec_ok) {
-                ++st.served;
-                const double latency = end - m.arrivalMs;
-                st.latency.add(latency);
-                policy.observe(latency);
-            } else if (m.tries < _cfg.maxRetries) {
-                ++st.retried;
-                const double backoff = retryBackoffMs(
-                    _cfg.backoffBaseMs, _cfg.backoffCapMs, m.tries);
-                queue.push(PendingRequest{end + backoff, seq++, m.req,
-                                          m.tries + 1, m.arrivalMs,
-                                          m.samples});
-            } else {
-                ++st.failed;
-            }
-        }
-    };
-
-    // Runs @p gather (if any) on the gather lane while the in-flight
-    // dispatch's compute stage runs on the compute lane, then retires
-    // the in-flight dispatch. Returns whether the gather succeeded.
-    const auto runStages = [&](sched::HtThreadPool::Task gather) {
-        const auto t0 = Clock::now();
-        std::future<void> gf, cf;
-        if (gather)
-            gf = _pool.submit(gather_core, std::move(gather));
-        if (pending.active && pending.set != kNoSet) {
-            cf = _pool.submit(compute_core, [this, &pending] {
-                _batchWs.stageCompute(_model, pending.set,
-                                      pending.dtype);
-            });
-        }
-        if (gf.valid())
-            gf.wait();
-        if (cf.valid())
-            cf.wait();
-        bool gather_ok = gf.valid();
-        try {
-            if (gf.valid())
-                gf.get();
-        } catch (...) {
-            gather_ok = false;
-        }
-        bool compute_ok = cf.valid();
-        try {
-            if (cf.valid()) {
-                cf.get();
-                core::splitPredictions(_batchWs.predictions(pending.set),
-                                       pending.sizes, _splitScratch);
-            }
-        } catch (...) {
-            compute_ok = false;
-        }
-        st.execTotalMs +=
-            std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                .count();
-        if (pending.active) {
-            retire(pending.members, pending.ok, compute_ok,
-                   pending.endMs);
-            pending.active = false;
-        }
-        return gather_ok;
-    };
-
-    while (!queue.empty() || pending.active) {
-        if (queue.empty()) {
-            runStages(nullptr); // drain at end of session
-            continue;
-        }
-
+    while (!queue.empty()) {
         const DegradeState tier = policy.state();
         const core::EmbDtype dtype = _cfg.effectiveDtype(tier);
-        const bool overlap =
-            streamed && core::usesMpHt(tier.scheme) && cores > 1;
-        // The pipeline empties before a sequential dispatch.
-        if (!overlap && pending.active)
-            runStages(nullptr);
 
-        // Dispatch core: the streamed gather lane, else the
-        // earliest-free core (lowest index on ties). Unstreamed
-        // sessions price both "lanes" on that one core.
-        std::size_t core = gather_core;
-        if (!streamed) {
-            for (std::size_t c = 1; c < cores; ++c) {
-                if (free_at[c] < free_at[core])
-                    core = c;
-            }
+        // Dispatch on the earliest-free core (lowest index on ties).
+        std::size_t core = 0;
+        for (std::size_t c = 1; c < cores; ++c) {
+            if (free_at[c] < free_at[core])
+                core = c;
         }
-        const std::size_t c_core = streamed ? compute_core : core;
-        double& gather_free = streamed ? lane_free[0] : free_at[core];
-        double& compute_free = streamed ? lane_free[1] : free_at[core];
-        const double g_straggle =
+        const double straggle =
             _fault ? _fault->serviceFactor(core) : 1.0;
-        const double c_straggle =
-            _fault ? _fault->serviceFactor(c_core) : 1.0;
 
         // Degradation shrinks how much we coalesce before anything
         // is shed: less batching trims the service estimate, which
@@ -345,9 +200,8 @@ Server::serve(const core::Tensor& dense,
                    tier.batchFraction *
                    static_cast<double>(max_requests))));
         const ServiceModel& tier_service = _cfg.serviceModelFor(dtype);
-        queue.nextBatch(gather_free, cap, _cfg.slaMs,
-                        streamed ? _cfg.service : tier_service,
-                        g_straggle, members);
+        queue.nextBatch(free_at[core], cap, _cfg.slaMs, tier_service,
+                        straggle, members);
 
         // Samples each member really runs: batching off truncates a
         // request to the tier's batchFraction.
@@ -364,25 +218,12 @@ Server::serve(const core::Tensor& dense,
             total_samples += samplesOf(m);
         }
 
-        double g_ms, c_ms;
-        if (streamed) {
-            g_ms = stages.gatherMs(total_samples) * tier.serviceFactor *
-                   g_straggle;
-            c_ms = stages.computeMs(total_samples) *
-                   tier.serviceFactor * c_straggle;
-        } else {
-            const double factor =
-                batching ? 1.0 : _cfg.tierServiceFactor(tier);
-            g_ms = tier_service.serviceMs(total_samples) * factor *
-                   g_straggle;
-            c_ms = 0.0;
-        }
-        const double gate =
-            overlap ? ring[dispatch_idx % core::ForwardWorkspace::numSets]
-                    : compute_free;
-        const double gather_end =
-            std::max({gather_free, gate, latest_ready}) + g_ms;
-        const double end = std::max(compute_free, gather_end) + c_ms;
+        const double factor =
+            batching ? 1.0 : _cfg.tierServiceFactor(tier);
+        const double service_ms =
+            tier_service.serviceMs(total_samples) * factor * straggle;
+        const double end =
+            std::max(free_at[core], latest_ready) + service_ms;
 
         // Admission control: a solo head on its first try whose
         // projected completion misses the deadline is shed (multi-
@@ -438,73 +279,54 @@ Server::serve(const core::Tensor& dense,
             dense_parts.push_back(&dense_rows.rows(n));
             member_sizes.push_back(n);
         }
-        const FaultInjector *task_fault = lone ? _fault : nullptr;
 
-        // The dispatch burns its lanes whether or not members fail.
+        // The dispatch burns its core whether or not members fail.
         ++st.dispatches;
         if (dtype != core::EmbDtype::Fp32)
             ++st.quantDispatches;
-        gather_free = gather_end;
-        compute_free = end;
-        gather_busy += g_ms;
-        compute_busy += c_ms;
+        free_at[core] = end;
+        busy += service_ms;
         makespan = std::max(makespan, end);
-        ring[dispatch_idx % core::ForwardWorkspace::numSets] = end;
-        ++dispatch_idx;
 
-        if (!overlap) {
-            // One fused forward, retired at once.
-            bool exec_ok = true;
-            if (!parts.empty()) {
-                try {
-                    st.execTotalMs += executeBatchedAttempt(
-                        core, parts, dense_parts, tier, pf, _model,
-                        task_fault, head.req, head.tries);
-                    core::splitPredictions(_batchWs.predictions(),
-                                           member_sizes, _splitScratch);
-                } catch (...) {
-                    exec_ok = false;
-                }
-            }
-            retire(members, member_ok, exec_ok, end);
-            continue;
-        }
-
-        // Overlapped: this dispatch's gather fills the free
-        // StageBuffers set on the gather lane while the in-flight
-        // dispatch's compute reads the other set on the compute lane.
-        std::size_t staged = kNoSet;
-        sched::HtThreadPool::Task gather;
+        // One fused forward; members whose pre-dispatch resolution
+        // and execution succeeded are served at end, the rest retry
+        // after backoff or fail.
+        bool exec_ok = true;
         if (!parts.empty()) {
-            const core::PrefetchSpec eff_pf =
-                tier.prefetchEnabled ? pf : core::PrefetchSpec{};
-            gather = [&, eff_pf, dtype] {
-                if (task_fault)
-                    task_fault->maybeThrow(head.req, head.tries);
-                staged = _batchWs.stageGather(_model, parts, dense_parts,
-                                              eff_pf, dtype,
-                                              _hotTier.get());
-            };
+            try {
+                st.execTotalMs += executeBatchedAttempt(
+                    core, parts, dense_parts, tier, pf, _model,
+                    lone ? _fault : nullptr, head.req, head.tries);
+                core::splitPredictions(_batchWs.predictions(),
+                                       member_sizes, _splitScratch);
+            } catch (...) {
+                exec_ok = false;
+            }
         }
-        const bool gather_ok = runStages(std::move(gather));
-        pending.members.swap(members);
-        pending.ok.swap(member_ok);
-        pending.sizes.swap(member_sizes);
-        pending.set = gather_ok ? staged : kNoSet;
-        pending.dtype = dtype;
-        pending.endMs = end;
-        pending.active = true;
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            const auto& m = members[i];
+            if (member_ok[i] && exec_ok) {
+                ++st.served;
+                const double latency = end - m.arrivalMs;
+                st.latency.add(latency);
+                policy.observe(latency);
+            } else if (m.tries < _cfg.maxRetries) {
+                ++st.retried;
+                const double backoff = retryBackoffMs(
+                    _cfg.backoffBaseMs, _cfg.backoffCapMs, m.tries);
+                queue.push(PendingRequest{end + backoff, seq++, m.req,
+                                          m.tries + 1, m.arrivalMs,
+                                          m.samples});
+            } else {
+                ++st.failed;
+            }
+        }
     }
 
     st.makespanMs = makespan;
-    if (streamed) {
-        st.gatherBusyMs = gather_busy;
-        st.computeBusyMs = compute_busy;
-    }
     if (makespan > 0.0) {
         st.serverUtilization =
-            (gather_busy + compute_busy) /
-            (makespan * static_cast<double>(lanes));
+            busy / (makespan * static_cast<double>(cores));
     }
     st.degradeEscalations = policy.escalations();
     st.finalTier = policy.tier();

@@ -20,16 +20,11 @@
  *    HtThreadPool — one fused forward per dispatch, allocation-free
  *    in the steady state and bitwise-identical to per-request
  *    execution;
- *  - optionally stage-pipelines dispatches (ServerConfig::streamed):
- *    the same loop keeps one dispatch in flight in the workspace's
- *    second StageBuffers set, overlapping the next dispatch's
- *    embedding gather with its interaction+MLP on a second core,
- *    and drains it whenever the degradation tier drops overlap;
  *  - retries transiently failed requests with capped exponential
  *    backoff, giving up after maxRetries (counted in failed);
  *  - degrades gracefully under tail-latency pressure via
  *    DegradationPolicy (drop precision fp32 -> bf16 -> int8, then
- *    shrink batch -> disable prefetch -> go sequential): quantized
+ *    shrink batch -> disable prefetch): quantized
  *    tiers run the fused-dequant bags and u8·s8 MLP engine, trading
  *    bounded accuracy for bandwidth before any request is shed;
  *  - tolerates injected faults (serve/fault.hpp): task exceptions,
@@ -167,25 +162,6 @@ struct ServerConfig
      *  alone. */
     BatchConfig batching;
 
-    /**
-     * Stage-pipelined streaming dispatch: coalesced dispatches flow
-     * through two lanes on disjoint core groups — dispatch k+1's
-     * memory-bound embedding gather overlaps dispatch k's
-     * compute-bound interaction+MLP via the workspace's rotating
-     * StageBuffers, one dispatch in flight. Steady-state per-dispatch
-     * cost drops from gather+compute to max(gather, compute);
-     * predictions stay bitwise-identical to the unstreamed batched
-     * session. Requires batching.enabled and drains to sequential
-     * dispatch whenever the degradation tier disables stage overlap
-     * or the instance has a single core.
-     */
-    bool streamed = false;
-
-    /** Fraction of the whole-forward service estimate attributed to
-     *  the gather stage when pricing the streamed pipeline
-     *  (StageServiceModel::split). */
-    double gatherFraction = 0.5;
-
     bool admission = true;   //!< shed on projected deadline miss
 
     std::size_t maxRetries = 2;   //!< retry budget per request
@@ -258,9 +234,9 @@ class Server
      * ForwardWorkspace and returns the measured kernel wall ms; the
      * workspace grows on demand when the group exceeds its current
      * capacity. Throws whatever the pool task threw. This is the one
-     * fused execution path: serve() drives it for every dispatch it
-     * does not stage-overlap, the Router and the multi-tenant fleet
-     * call it from their own cluster-level event loops.
+     * fused execution path: serve() drives it for every dispatch, the
+     * Router and the multi-tenant fleet call it from their own
+     * cluster-level event loops.
      *
      * @throws std::invalid_argument on a zero-sample part.
      */
@@ -292,7 +268,7 @@ class Server
         const FaultInjector *fault = nullptr, std::uint64_t req = 0,
         std::uint64_t attempt = 0);
 
-    /** Predictions of the last dispatch, fused or streamed. */
+    /** Predictions of the last dispatch. */
     const core::Tensor& lastPredictions() const
     {
         return _batchWs.predictions();
@@ -323,8 +299,8 @@ class Server
      * Backing-store fingerprint of the persistent batched workspace
      * (core::ForwardWorkspace::bufferFingerprint). Unchanged across
      * sessions means no dispatch reallocated or moved a buffer — the
-     * probe the streamed fault tests use to show a poisoned in-flight
-     * stage never disturbed the sibling rotation set's storage.
+     * probe the fault tests use to show a failed or repaired dispatch
+     * left the workspace's storage alone.
      */
     std::size_t workspaceFingerprint() const
     {

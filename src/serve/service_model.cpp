@@ -64,32 +64,6 @@ ServiceModel::validate() const
     }
 }
 
-StageServiceModel
-StageServiceModel::split(const ServiceModel& total,
-                         double gather_fraction)
-{
-    if (!std::isfinite(gather_fraction) || gather_fraction <= 0.0 ||
-        gather_fraction >= 1.0) {
-        throw std::invalid_argument(
-            "StageServiceModel::split: gather fraction must lie "
-            "strictly between 0 and 1");
-    }
-    total.validate();
-    StageServiceModel s;
-    s.gather = ServiceModel{total.baseMs * gather_fraction,
-                            total.perSampleMs * gather_fraction};
-    s.compute = ServiceModel{total.baseMs * (1.0 - gather_fraction),
-                             total.perSampleMs * (1.0 - gather_fraction)};
-    return s;
-}
-
-void
-StageServiceModel::validate() const
-{
-    gather.validate();
-    compute.validate();
-}
-
 ServiceTimeline::ServiceTimeline(const ServiceModel& constant_model)
 {
     constant_model.validate();

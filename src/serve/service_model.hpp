@@ -65,59 +65,6 @@ struct ServiceModel
 };
 
 /**
- * Two-stage service-time model for the stage-pipelined dispatch.
- *
- * The streaming serving mode splits one dispatch into a memory-bound
- * gather stage (sparse coalesce + embedding bag) and a compute-bound
- * stage (bottom MLP + interaction + top MLP), run on disjoint core
- * groups. Pricing that pipeline needs per-stage times: sequential
- * (unpipelined) cost is the sum of the stages, but once the pipeline
- * is full each new dispatch only costs the *slower* stage — the other
- * stage's work hides under it. sequentialMs() is what deadline
- * feasibility must use (the first dispatch through an empty pipeline
- * pays the full sum); pipelinedMs() is the steady-state marginal cost
- * ServiceModel-based planners use to price throughput.
- */
-struct StageServiceModel
-{
-    ServiceModel gather;  //!< embedding-gather stage cost
-    ServiceModel compute; //!< interaction + MLP stage cost
-
-    double gatherMs(std::size_t n) const { return gather.serviceMs(n); }
-    double computeMs(std::size_t n) const
-    {
-        return compute.serviceMs(n);
-    }
-
-    /** Unpipelined dispatch cost: both stages back to back. */
-    double
-    sequentialMs(std::size_t n) const
-    {
-        return gatherMs(n) + computeMs(n);
-    }
-
-    /** Steady-state per-dispatch cost of a full pipeline. */
-    double
-    pipelinedMs(std::size_t n) const
-    {
-        const double g = gatherMs(n), c = computeMs(n);
-        return g > c ? g : c;
-    }
-
-    /**
-     * Splits a calibrated whole-forward model into stages by the
-     * fraction of time the gather stage accounts for.
-     *
-     * @throws std::invalid_argument unless 0 < gather_fraction < 1.
-     */
-    static StageServiceModel split(const ServiceModel& total,
-                                   double gather_fraction);
-
-    /** @throws std::invalid_argument when either stage is invalid. */
-    void validate() const;
-};
-
-/**
  * Piecewise-constant service-time truth over the virtual clock.
  *
  * A single ServiceModel describes a *stationary* service process.

@@ -70,8 +70,8 @@ struct TenantConfig
 
     /** Per-tenant graceful-degradation thresholds: each tenant walks
      *  its own tier ladder against its own SLA, so one tenant's tail
-     *  blow-up shrinks only that tenant's coalescing and execution
-     *  scheme instead of degrading its neighbours. Disabled by
+     *  blow-up shrinks only that tenant's coalescing, precision and
+     *  prefetch instead of degrading its neighbours. Disabled by
      *  default (every dispatch runs at tier 0, the pre-existing
      *  fleet behaviour). */
     DegradeConfig degrade;

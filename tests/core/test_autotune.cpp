@@ -195,32 +195,27 @@ TEST(GemmTune, MlpSweepCoversEveryBucketAndLayer)
     const std::vector<std::size_t> dims = {32, 24, 8};
     const auto results = tuneMlpGemm(dims, {1, 16}, 1, 3);
 
-    // 2 batches x (2 layers + the first layer's n-major slot),
-    // layers innermost, trans point last per batch.
-    ASSERT_EQ(results.size(), 6u);
+    // 2 batches x 2 layers, layers innermost.
+    ASSERT_EQ(results.size(), 4u);
     EXPECT_EQ(results[0].batch, 1u);
     EXPECT_EQ(results[0].inDim, 32u);
     EXPECT_EQ(results[0].outDim, 24u);
-    EXPECT_FALSE(results[0].trans);
     EXPECT_EQ(results[1].inDim, 24u);
     EXPECT_EQ(results[1].outDim, 8u);
-    EXPECT_TRUE(results[2].trans);
-    EXPECT_EQ(results[2].inDim, 32u);
-    EXPECT_EQ(results[2].outDim, 24u);
-    EXPECT_EQ(results[3].batch, 16u);
-    EXPECT_TRUE(results[5].trans);
+    EXPECT_EQ(results[2].batch, 16u);
+    EXPECT_EQ(results[3].inDim, 24u);
     for (const auto& r : results) {
         EXPECT_TRUE(GemmTileCache::instance().contains(
-            r.batch, r.inDim, r.outDim, r.level, r.trans));
+            r.batch, r.inDim, r.outDim, r.level));
     }
-    EXPECT_EQ(GemmTileCache::instance().size(), 6u);
+    EXPECT_EQ(GemmTileCache::instance().size(), 4u);
 
     // Default batches: one representative per m-bucket, each tuning
-    // the single layer plus its n-major slot.
+    // the single layer.
     GemmTileCache::instance().clear();
     const auto all = tuneMlpGemm({16, 8}, {}, 1, 3);
     EXPECT_EQ(all.size(),
-              2 * static_cast<std::size_t>(GemmTileCache::numBuckets));
+              static_cast<std::size_t>(GemmTileCache::numBuckets));
     GemmTileCache::instance().clear();
 }
 

@@ -16,7 +16,6 @@
 #include "core/batching.hpp"
 #include "core/dlrm.hpp"
 #include "core/errors.hpp"
-#include "core/simd.hpp"
 #include "trace/generator.hpp"
 
 namespace
@@ -256,125 +255,6 @@ TEST_F(ForwardWorkspaceTest, ReserveRejectsZeroBatch)
 {
     ForwardWorkspace ws;
     EXPECT_THROW(ws.reserve(model, 0, 4), std::invalid_argument);
-}
-
-/** Restores the forced SIMD dispatch level on scope exit. */
-struct SimdLevelGuard
-{
-    SimdLevel saved = currentSimdLevel();
-    ~SimdLevelGuard() { setSimdLevel(saved); }
-};
-
-TEST_F(ForwardWorkspaceTest, PipelinedForwardIsBitwiseIdentical)
-{
-    // Software-pipelined schedule — gather k+1 issued before compute
-    // k, exactly how the streaming dispatcher interleaves the two
-    // stages — must produce predictions bitwise-equal to the
-    // sequential forward() path for every dispatch, at every SIMD
-    // level, for members at every batch position.
-    SimdLevelGuard guard;
-    const std::vector<std::vector<std::size_t>> dispatches = {
-        {0}, {1, 2}, {0, 1, 2}, {2}, {2, 0}};
-
-    for (const SimdLevel level :
-         {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512}) {
-        setSimdLevel(level);
-        ForwardWorkspace pipe, seq;
-        pipe.reserve(model, 16, tinyModel().lookups);
-        seq.reserve(model, 16, tinyModel().lookups);
-
-        std::vector<std::size_t> sets(dispatches.size());
-        const auto gatherOf = [&](std::size_t k) {
-            std::vector<const SparseBatch *> p;
-            std::vector<const Tensor *> d;
-            for (const std::size_t m : dispatches[k]) {
-                p.push_back(&parts[m]);
-                d.push_back(&dense[m]);
-            }
-            sets[k] = pipe.stageGather(model, p, d);
-        };
-
-        gatherOf(0);
-        for (std::size_t k = 0; k < dispatches.size(); ++k) {
-            if (k + 1 < dispatches.size())
-                gatherOf(k + 1);
-            const Tensor& pred = pipe.stageCompute(model, sets[k]);
-            EXPECT_EQ(sets[k], k % ForwardWorkspace::numSets);
-            EXPECT_EQ(&pred, &pipe.predictions());
-
-            // Sequential reference over the same coalesced group.
-            std::vector<const SparseBatch *> p;
-            std::vector<const Tensor *> d;
-            std::vector<std::size_t> sizes;
-            for (const std::size_t m : dispatches[k]) {
-                p.push_back(&parts[m]);
-                d.push_back(&dense[m]);
-                sizes.push_back(parts[m].batchSize);
-            }
-            const SparseBatch& merged = seq.coalesce(p, d);
-            const Tensor& want =
-                seq.forward(model, seq.stagedDense(), merged);
-            ASSERT_EQ(pred.rows(), want.rows());
-            EXPECT_EQ(std::memcmp(pred.data(), want.data(),
-                                  pred.rows() * sizeof(float)),
-                      0)
-                << "dispatch " << k << " level "
-                << static_cast<int>(level);
-
-            // And per member against the stock path (batch-position
-            // independence survives the pipeline).
-            std::vector<core::PredictionSpan> spans;
-            splitPredictions(pred, sizes, spans);
-            DlrmWorkspace ref;
-            for (std::size_t i = 0; i < spans.size(); ++i) {
-                const std::size_t m = dispatches[k][i];
-                model.forward(dense[m], parts[m], ref);
-                EXPECT_EQ(std::memcmp(spans[i].data, ref.pred.data(),
-                                      spans[i].batch * sizeof(float)),
-                          0)
-                    << "dispatch " << k << " member " << m;
-            }
-        }
-    }
-}
-
-TEST_F(ForwardWorkspaceTest, PipelineSteadyStateReallocatesNothing)
-{
-    ForwardWorkspace ws;
-    ws.reserve(model, 16, tinyModel().lookups);
-    const std::size_t fp = ws.bufferFingerprint();
-
-    // Rotating gather/compute across both sets — full-size, small,
-    // and single-member dispatches alike — must never reallocate a
-    // backing store in either set.
-    const auto p = partPtrs();
-    const auto d = densePtrs();
-    for (int rep = 0; rep < 4; ++rep) {
-        const std::size_t s0 = ws.stageGather(model, p, d);
-        const std::size_t s1 =
-            ws.stageGather(model, {p[0]}, {d[0]});
-        EXPECT_NE(s0, s1);
-        ws.stageCompute(model, s0);
-        EXPECT_EQ(ws.bufferFingerprint(), fp);
-        ws.stageCompute(model, s1);
-        EXPECT_EQ(ws.bufferFingerprint(), fp);
-    }
-
-    // Mixing in the sequential path keeps the same storage too.
-    const SparseBatch& merged = ws.coalesce(p, d);
-    ws.forward(model, ws.stagedDense(), merged);
-    EXPECT_EQ(ws.bufferFingerprint(), fp);
-}
-
-TEST_F(ForwardWorkspaceTest, RotationAlternatesAndResets)
-{
-    ForwardWorkspace ws;
-    ws.reserve(model, 16, tinyModel().lookups);
-    EXPECT_EQ(ws.stageGather(model, {&parts[0]}, {&dense[0]}), 0u);
-    EXPECT_EQ(ws.stageGather(model, {&parts[1]}, {&dense[1]}), 1u);
-    EXPECT_EQ(ws.stageGather(model, {&parts[2]}, {&dense[2]}), 0u);
-    ws.resetRotation();
-    EXPECT_EQ(ws.stageGather(model, {&parts[0]}, {&dense[0]}), 0u);
 }
 
 } // namespace

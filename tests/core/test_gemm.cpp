@@ -368,161 +368,6 @@ TEST(PackedGemm, DegenerateShapes)
         EXPECT_NEAR(got[i], want[i], 1e-3f);
 }
 
-/** Feature-major copy of a row-major [batch x in_dim] activation. */
-std::vector<float>
-transposeActivations(const std::vector<float>& in, std::size_t batch,
-                     std::size_t in_dim)
-{
-    std::vector<float> t(in.size());
-    for (std::size_t m = 0; m < batch; ++m) {
-        for (std::size_t k = 0; k < in_dim; ++k)
-            t[k * batch + m] = in[m * in_dim + k];
-    }
-    return t;
-}
-
-TEST(TransposedGemm, MatchesReferenceAtEveryLevel)
-{
-    const std::size_t batch = 13, in_dim = 57, out_dim = 31;
-    const auto in = randomVec(batch * in_dim, 81);
-    const auto w = randomVec(out_dim * in_dim, 82);
-    const auto b = randomVec(out_dim, 83);
-    const auto in_t = transposeActivations(in, batch, in_dim);
-    const PackedWeights packed(w.data(), in_dim, out_dim);
-
-    std::vector<float> want(batch * out_dim);
-    denseLayerForwardRef(in.data(), batch, in_dim, w.data(), b.data(),
-                         out_dim, want.data(), true);
-    for (const SimdLevel level : kLevels) {
-        std::vector<float> got(batch * out_dim, -99.0f);
-        denseLayerForwardPackedTransLevel(level, in_t.data(), batch,
-                                          packed, b.data(), got.data(),
-                                          true);
-        for (std::size_t i = 0; i < got.size(); ++i) {
-            ASSERT_NEAR(got[i], want[i], 1e-3f)
-                << "level " << static_cast<int>(level) << " at " << i;
-        }
-    }
-}
-
-TEST(TransposedGemm, BitwiseIdenticalToMMajorEngine)
-{
-    // The n-major variant only changes activation *load addresses*;
-    // every output element runs the same fmaf chain, so it must match
-    // the m-major engine bit for bit at every level and tile.
-    const std::size_t batch = 23, in_dim = 147, out_dim = 37;
-    const auto in = randomVec(batch * in_dim, 91);
-    const auto w = randomVec(out_dim * in_dim, 92);
-    const auto b = randomVec(out_dim, 93);
-    const auto in_t = transposeActivations(in, batch, in_dim);
-    const PackedWeights packed(w.data(), in_dim, out_dim);
-
-    for (const SimdLevel level : kLevels) {
-        std::vector<float> want(batch * out_dim);
-        denseLayerForwardPackedLevel(level, in.data(), batch, packed,
-                                     b.data(), want.data(), true);
-        for (const GemmTile tile :
-             {GemmTile{}, GemmTile{1, 0}, GemmTile{2, 64},
-              GemmTile{4, 128}, GemmTile{6, 37}, GemmTile{3, 1}}) {
-            std::vector<float> got(batch * out_dim);
-            denseLayerForwardPackedTransLevel(level, in_t.data(),
-                                              batch, packed, b.data(),
-                                              got.data(), true, tile);
-            for (std::size_t i = 0; i < got.size(); ++i) {
-                ASSERT_EQ(want[i], got[i])
-                    << "level " << static_cast<int>(level) << " tile {"
-                    << tile.mr << "," << tile.kc << "} at " << i;
-            }
-        }
-    }
-}
-
-TEST(TransposedGemm, BitwiseIndependentOfBatchPosition)
-{
-    // Row r of an n-major batched forward must equal the same sample
-    // run alone — the coalescing guarantee the streaming pipeline's
-    // compute stage inherits.
-    const std::size_t batch = 9, in_dim = 123, out_dim = 21;
-    const auto in = randomVec(batch * in_dim, 95);
-    const auto w = randomVec(out_dim * in_dim, 96);
-    const auto b = randomVec(out_dim, 97);
-    const auto in_t = transposeActivations(in, batch, in_dim);
-    const PackedWeights packed(w.data(), in_dim, out_dim);
-
-    std::vector<float> batched(batch * out_dim);
-    denseLayerForwardPackedTrans(in_t.data(), batch, packed, b.data(),
-                                 batched.data(), true);
-    std::vector<float> alone(out_dim);
-    for (std::size_t r = 0; r < batch; ++r) {
-        // A solo sample's feature-major layout is just its row.
-        std::vector<float> one(in_dim);
-        for (std::size_t k = 0; k < in_dim; ++k)
-            one[k] = in[r * in_dim + k];
-        denseLayerForwardPackedTrans(one.data(), 1, packed, b.data(),
-                                     alone.data(), true);
-        for (std::size_t j = 0; j < out_dim; ++j)
-            ASSERT_EQ(batched[r * out_dim + j], alone[j])
-                << "row " << r << " col " << j;
-    }
-}
-
-TEST(TransposedGemm, DegenerateShapes)
-{
-    // batch == 0: out never touched.
-    const auto w = randomVec(8, 85);
-    const PackedWeights packed(w.data(), 4, 2);
-    float sentinel = -7.0f;
-    denseLayerForwardPackedTrans(nullptr, 0, packed, nullptr,
-                                 &sentinel, true);
-    EXPECT_FLOAT_EQ(sentinel, -7.0f);
-
-    // in_dim == 0: epilogue only, same as the m-major engine.
-    const PackedWeights kless(nullptr, 0, 2);
-    const float b[] = {1.5f, -2.5f};
-    for (const SimdLevel level : kLevels) {
-        float out[2] = {9.0f, 9.0f};
-        denseLayerForwardPackedTransLevel(level, nullptr, 1, kless, b,
-                                          out, true);
-        EXPECT_FLOAT_EQ(out[0], 1.5f);
-        EXPECT_FLOAT_EQ(out[1], 0.0f);
-    }
-}
-
-TEST(TransposedGemm, UsesItsOwnCacheEntries)
-{
-    // The trans engine consults (bucket, dims, level, trans=true)
-    // entries; an m-major entry for the same shape must not leak in,
-    // and tiles cannot change bits either way.
-    auto& cache = GemmTileCache::instance();
-    cache.clear();
-    const std::size_t batch = 6, in_dim = 40, out_dim = 24;
-    const auto in = randomVec(batch * in_dim, 87);
-    const auto w = randomVec(out_dim * in_dim, 88);
-    const auto in_t = transposeActivations(in, batch, in_dim);
-    const PackedWeights packed(w.data(), in_dim, out_dim);
-
-    std::vector<float> before(batch * out_dim);
-    denseLayerForwardPackedTrans(in_t.data(), batch, packed, nullptr,
-                                 before.data(), false);
-
-    const SimdLevel level = currentSimdLevel();
-    cache.install(batch, in_dim, out_dim, level, GemmTile{2, 16});
-    cache.install(batch, in_dim, out_dim, level, GemmTile{1, 8},
-                  /*trans=*/true);
-    EXPECT_TRUE(cache.contains(batch, in_dim, out_dim, level, true));
-    EXPECT_EQ(cache.lookup(batch, in_dim, out_dim, level, true),
-              (GemmTile{1, 8}));
-    EXPECT_EQ(cache.lookup(batch, in_dim, out_dim, level, false),
-              (GemmTile{2, 16}));
-
-    std::vector<float> after(batch * out_dim);
-    denseLayerForwardPackedTrans(in_t.data(), batch, packed, nullptr,
-                                 after.data(), false);
-    for (std::size_t i = 0; i < after.size(); ++i)
-        ASSERT_EQ(before[i], after[i]) << "at " << i;
-    cache.clear();
-}
-
 TEST(GemmTileCache, BucketBoundaries)
 {
     EXPECT_EQ(GemmTileCache::bucketOf(1), 0);

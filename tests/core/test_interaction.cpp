@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/interaction.hpp"
-#include "core/types.hpp"
 
 namespace
 {
@@ -70,42 +69,6 @@ TEST(Interaction, ZeroEmbeddingsYieldZeroDots)
     EXPECT_FLOAT_EQ(out[2], 0.0f);
     EXPECT_FLOAT_EQ(out[3], 0.0f);
     EXPECT_FLOAT_EQ(out[4], 0.0f);
-}
-
-TEST(Interaction, TransposedWritesSameBitsFeatureMajor)
-{
-    // dotInteractionTransposed runs the exact same dot() chains as
-    // the row-major kernel and only scatters them feature-major:
-    // out_t[f * batch + b] must equal out[b * F + f] bit for bit.
-    const std::size_t tables = 3, batch = 5, dim = 4;
-    std::vector<float> bottom(batch * dim);
-    std::vector<float> e0(batch * dim), e1(batch * dim),
-        e2(batch * dim);
-    for (std::size_t i = 0; i < bottom.size(); ++i) {
-        bottom[i] = static_cast<float>(
-            dlrmopt::toUnitInterval(dlrmopt::mix64(i)) - 0.5);
-        e0[i] = static_cast<float>(
-            dlrmopt::toUnitInterval(dlrmopt::mix64(i + 100)) - 0.5);
-        e1[i] = static_cast<float>(
-            dlrmopt::toUnitInterval(dlrmopt::mix64(i + 200)) - 0.5);
-        e2[i] = static_cast<float>(
-            dlrmopt::toUnitInterval(dlrmopt::mix64(i + 300)) - 0.5);
-    }
-    std::vector<const float *> emb = {e0.data(), e1.data(), e2.data()};
-
-    const std::size_t f = interactionOutputDim(tables, dim);
-    std::vector<float> row_major(batch * f);
-    std::vector<float> feat_major(f * batch);
-    dotInteraction(bottom.data(), emb, tables, batch, dim,
-                   row_major.data());
-    dotInteractionTransposed(bottom.data(), emb, tables, batch, dim,
-                             feat_major.data());
-    for (std::size_t b = 0; b < batch; ++b) {
-        for (std::size_t k = 0; k < f; ++k) {
-            ASSERT_EQ(row_major[b * f + k], feat_major[k * batch + b])
-                << "sample " << b << " feature " << k;
-        }
-    }
 }
 
 TEST(Interaction, SymmetricInputsProduceSymmetricDots)

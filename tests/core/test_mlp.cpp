@@ -140,38 +140,6 @@ TEST(Mlp, PackedForwardBitwiseIdenticalAcrossSimdLevels)
     setSimdLevel(saved);
 }
 
-TEST(Mlp, TransposedForwardBitwiseIdentical)
-{
-    // forwardFromTransposed consumes feature-major activations
-    // through the n-major packed engine for layer 0 and the normal
-    // engine afterwards — the whole stack must match the row-major
-    // forward bit for bit at every dispatch level.
-    const SimdLevel saved = currentSimdLevel();
-    Mlp m({40, 24, 8, 1}, 43);
-    const std::size_t batch = 11;
-    Tensor in(batch, 40);
-    in.randomize(19);
-    Tensor in_t(40, batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-        for (std::size_t k = 0; k < 40; ++k)
-            in_t.at(k, b) = in.at(b, k);
-    }
-
-    for (const SimdLevel level :
-         {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512}) {
-        setSimdLevel(level);
-        Tensor want, got, sa, sb;
-        m.forward(in, want);
-        m.forwardFromTransposed(in_t, got, sa, sb);
-        ASSERT_EQ(got.rows(), want.rows());
-        ASSERT_EQ(got.cols(), want.cols());
-        for (std::size_t i = 0; i < got.size(); ++i)
-            ASSERT_EQ(want.data()[i], got.data()[i])
-                << "level " << static_cast<int>(level) << " at " << i;
-    }
-    setSimdLevel(saved);
-}
-
 TEST(Mlp, ScratchForwardStillBitwiseIdentical)
 {
     // The zero-alloc overload shares the packed engine; its ping-pong

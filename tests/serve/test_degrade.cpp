@@ -122,7 +122,6 @@ TEST(DegradationPolicy, TierStatesFormTheDocumentedLadder)
     EXPECT_EQ(t0.dtype, EmbDtype::Fp32);
     EXPECT_DOUBLE_EQ(t0.batchFraction, 1.0);
     EXPECT_TRUE(t0.prefetchEnabled);
-    EXPECT_TRUE(dlrmopt::core::usesMpHt(t0.scheme));
     EXPECT_DOUBLE_EQ(t0.serviceFactor, 1.0);
     EXPECT_DOUBLE_EQ(t0.knobFactor, 1.0);
 
@@ -148,11 +147,14 @@ TEST(DegradationPolicy, TierStatesFormTheDocumentedLadder)
 
     const auto t4 = DegradationPolicy::stateForTier(4);
     EXPECT_FALSE(t4.prefetchEnabled);
-    EXPECT_TRUE(dlrmopt::core::usesMpHt(t4.scheme));
 
+    // Tier 5 executes exactly like tier 4 and only prices cheaper.
     const auto t5 = DegradationPolicy::stateForTier(5);
+    EXPECT_EQ(t5.dtype, t4.dtype);
+    EXPECT_DOUBLE_EQ(t5.batchFraction, t4.batchFraction);
     EXPECT_FALSE(t5.prefetchEnabled);
-    EXPECT_FALSE(dlrmopt::core::usesMpHt(t5.scheme));
+    EXPECT_DOUBLE_EQ(t5.knobFactor, 0.50);
+    EXPECT_LT(t5.knobFactor, t4.knobFactor);
 
     // serviceFactor = knobFactor * dtype speedup at every tier (the
     // invariant that keeps dtype-aware pricing from double-counting).

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
+#include "core/embedding_store.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
 #include "trace/generator.hpp"
@@ -497,6 +499,50 @@ TEST_F(ServerTest, ExecuteBatchedAttemptRejectsAZeroSamplePart)
                      DegradationPolicy::stateForTier(0),
                      core::PrefetchSpec{}),
                  std::invalid_argument);
+}
+
+TEST_F(ServerTest, BitFlipQuarantineRestoresBitwiseServing)
+{
+    auto mut = core::EmbeddingStore::createMutable(smallModel(), 11);
+    const core::DlrmModel m(smallModel(), mut, 11);
+
+    ServerConfig cfg;
+    cfg.slaMs = 80.0;
+    cfg.batching.enabled = true;
+    cfg.batching.maxRequests = 4;
+    Server srv(m, sched::Topology::synthetic(2, 2), cfg);
+
+    // Pristine baseline through the batched gather path.
+    const std::vector<double> arrivals(12, 0.0);
+    const auto base = srv.serve(dense, batches, arrivals);
+    ASSERT_EQ(base.served, 12u);
+    const core::Tensor& p0 = srv.lastPredictions();
+    const std::vector<float> want(p0.data(), p0.data() + p0.size());
+    const std::size_t ws_fp = srv.workspaceFingerprint();
+
+    // A DRAM upset flips one stored row bit: the block's checksum
+    // stops verifying, nothing else announces the corruption.
+    FaultConfig fc;
+    fc.seed = 5;
+    fc.bitFlipRate = 1.0;
+    const FaultInjector flipper(fc);
+    ASSERT_TRUE(flipper.maybeFlipStoredBit(*mut, 0, 0));
+    const auto bad = mut->findCorruptBlocks();
+    ASSERT_EQ(bad.size(), 1u);
+
+    // Quarantine + repair (the Router integrity sweep's job), then
+    // the identical session must serve bit-identical predictions
+    // again — zero wrong answers survive the upset.
+    mut->repairBlock(bad[0].table, bad[0].block);
+    EXPECT_TRUE(mut->findCorruptBlocks().empty());
+
+    const auto st = srv.serve(dense, batches, arrivals);
+    EXPECT_EQ(st.served, 12u);
+    const core::Tensor& p1 = srv.lastPredictions();
+    ASSERT_EQ(p1.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(want[i], p1.data()[i]) << "prediction " << i;
+    EXPECT_EQ(srv.workspaceFingerprint(), ws_fp);
 }
 
 } // namespace

@@ -298,47 +298,39 @@ TEST(CliRun, BatchRejectsBadOptions)
 
 TEST(CliRun, BatchQuantizedPrecisionFloorRunsEveryRow)
 {
-    // --dtype bf16 floors the unbatched, coalesced, and streamed
-    // rows alike: every dispatch in every row counts as quantized.
+    // --dtype bf16 floors the unbatched and coalesced rows alike:
+    // every dispatch in every row counts as quantized.
     std::ostringstream out, err;
     const int rc =
         run(parse({"batch", "--model", "rm1", "--max-bytes",
                    "2000000", "--batch-size", "4", "--requests", "60",
                    "--arrival-ms", "1.0", "--sla", "25", "--cores",
                    "2", "--max-requests", "4", "--linger-ms", "1.0",
-                   "--streamed", "--dtype", "bf16", "--seed", "5"}),
+                   "--dtype", "bf16", "--seed", "5"}),
             out, err);
     EXPECT_EQ(rc, 0) << err.str();
     const std::string s = out.str();
     EXPECT_NE(s.find("precision bf16"), std::string::npos);
     EXPECT_NE(s.find("unbatched"), std::string::npos);
-    EXPECT_NE(s.find("streamed"), std::string::npos);
+    EXPECT_NE(s.find("batch 4 @ 1.0ms"), std::string::npos);
     EXPECT_NE(s.find("quantized"), std::string::npos);
     EXPECT_EQ(s.find(" 0 quantized"), std::string::npos);
 }
 
-TEST(CliRun, BatchStreamedAddsThePipelinedRow)
+TEST(CliRun, BatchRejectsTheRemovedStreamedFlags)
 {
-    std::ostringstream out, err;
-    const int rc =
-        run(parse({"batch", "--model", "rm1", "--max-bytes",
-                   "2000000", "--batch-size", "4", "--requests", "80",
-                   "--arrival-ms", "1.0", "--sla", "25", "--cores",
-                   "2", "--max-requests", "4", "--linger-ms", "1.0",
-                   "--streamed", "--gather-fraction", "0.4", "--seed",
-                   "5"}),
-            out, err);
-    EXPECT_EQ(rc, 0) << err.str();
-    const std::string s = out.str();
-    EXPECT_NE(s.find("batch 4 @ 1.0ms"), std::string::npos);
-    EXPECT_NE(s.find("streamed 4 g=0.40"), std::string::npos);
-
-    // A malformed stage split is rejected up front.
-    std::ostringstream o2, e2;
-    EXPECT_NE(run(parse({"batch", "--streamed", "--gather-fraction",
-                         "1.5"}),
-                  o2, e2),
-              0);
+    // The streamed serving mode is gone; its flags must fail rather
+    // than be ignored and print a different table.
+    const auto expectRejected = [](const ParsedArgs& args,
+                                   const std::string& flag) {
+        std::ostringstream out, err;
+        EXPECT_EQ(run(args, out, err), 1) << flag;
+        EXPECT_EQ(err.str().rfind("error: " + flag, 0), 0u) << err.str();
+        EXPECT_TRUE(out.str().empty()) << flag;
+    };
+    expectRejected(parse({"batch", "--streamed"}), "--streamed");
+    expectRejected(parse({"batch", "--gather-fraction", "0.4"}),
+                   "--gather-fraction");
 }
 
 TEST(CliRun, SweepRejectsUnknownAxis)

@@ -776,7 +776,16 @@ cmdBatch(const ParsedArgs& args, std::ostream& out)
 {
     // Unbatched vs. deadline-aware coalescing over the *same*
     // arrival stream, service model, and virtual clock, so the only
-    // variable is the batching policy.
+    // variable is the batching policy. ParsedArgs ignores unknown
+    // options, so the removed streamed flags fail loudly instead of
+    // quietly printing a different table.
+    for (const char *gone : {"streamed", "gather-fraction"}) {
+        if (args.has(gone)) {
+            throw std::invalid_argument(
+                std::string("--") + gone +
+                " was removed with the streamed serving mode");
+        }
+    }
     const auto base = core::modelByName(args.get("model", "rm2_1"));
     const double max_bytes =
         args.getDouble("max-bytes", 64.0 * (1u << 20));
@@ -879,24 +888,6 @@ cmdBatch(const ParsedArgs& args, std::ostream& out)
         std::snprintf(label, sizeof(label),
                       "batch %zu @ %.1fms ",
                       bcfg.batching.maxRequests, linger);
-        report(label, srv.serve(dense, batches, arrivals));
-    }
-    if (args.has("streamed")) {
-        // Stage-pipelined dispatch over the same stream: gather of
-        // dispatch k+1 overlaps compute of dispatch k on split core
-        // groups (needs >= 2 cores for real overlap).
-        serve::ServerConfig pcfg = bcfg;
-        pcfg.batching.maxLingerMs = args.getDouble("linger-ms", 1.0);
-        pcfg.streamed = true;
-        pcfg.gatherFraction =
-            args.getDouble("gather-fraction", 0.5);
-        serve::Server srv(model, topo, pcfg);
-        if (hot_tier)
-            srv.attachHotTier(hot_tier);
-        char label[48];
-        std::snprintf(label, sizeof(label),
-                      "streamed %zu g=%.2f ",
-                      pcfg.batching.maxRequests, pcfg.gatherFraction);
         report(label, srv.serve(dense, batches, arrivals));
     }
     if (hot_tier)
@@ -1476,8 +1467,6 @@ usage()
            "batch options (plus the serve options above):\n"
            "  --max-requests N --linger-ms X --calibrate\n"
            "  --service-base-ms X --service-per-sample-ms X\n"
-           "  --streamed (add the stage-pipelined dispatch row)\n"
-           "  --gather-fraction F (stage split for --streamed)\n"
            "\n"
            "hot-tier options (serve, batch, cache):\n"
            "  --cache-budget BYTES (pinned hot-tier byte budget; 0 = "
