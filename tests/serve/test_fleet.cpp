@@ -366,6 +366,37 @@ TEST_F(FleetTest, ChaosSessionConservesAndRecovers)
         EXPECT_TRUE(fleet.store(k).findCorruptBlocks().empty());
 }
 
+TEST_F(FleetTest, PhaseBitFlipRateCorruptsTheServingStore)
+{
+    // A phase-only schedule: no scripted flip, just a regime in which
+    // every attempt may silently flip a stored bit. The scrubber must
+    // find what the phase corrupted.
+    TenantRegistry reg;
+    reg.add(makeTenant("flipped", 4096, 20.0, 1.0));
+    FleetConfig cfg = baseConfig();
+    cfg.scrub.enabled = true;
+    cfg.scrub.intervalMs = 0.5;
+    cfg.scrub.blocksPerTick = 8;
+    TenantFleet fleet(reg, topo, cfg);
+
+    FaultConfig flipping;
+    flipping.seed = 3;
+    flipping.bitFlipRate = 0.5;
+    const FaultSchedule schedule({{0.0, -1, flipping}}, {}, {});
+    ASSERT_TRUE(schedule.corruptsStore());
+
+    std::vector<TenantWorkload> work;
+    work.push_back(makeWork(reg.tenant(0).model, 5,
+                            evenArrivals(60, 0.8)));
+    const FleetStats fs = fleet.serve(work,
+                                      core::PrefetchSpec::paperDefault(),
+                                      &schedule);
+
+    EXPECT_TRUE(fs.conserved());
+    EXPECT_GT(fs.scrubCorruptions, 0u);
+    EXPECT_GT(fs.scrubRepairs, 0u);
+}
+
 TEST_F(FleetTest, LosingEveryInstanceForGoodAbandonsTheQueueLoudly)
 {
     TenantRegistry reg;
