@@ -104,6 +104,10 @@ struct TenantStats
     /** Served requests whose latency met the tenant's SLA. */
     std::size_t compliant = 0;
 
+    /** Per-request fingerprintPredictions of the served answer,
+     *  indexed by request id; 0 = not served. */
+    std::vector<std::uint64_t> predFingerprints;
+
     /** Compliant fraction of served requests (1 when none served). */
     double
     complianceOfServed() const
