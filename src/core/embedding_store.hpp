@@ -55,7 +55,7 @@ struct BlockRef
  *
  * Construction allocates rows * dim * 4 bytes per table; everything
  * downstream (DlrmModel replicas/shards, Server instances, the
- * Router) only holds references.
+ * fleet) only holds references.
  */
 class EmbeddingStore
 {

@@ -100,7 +100,7 @@ HotTierCache::bag(std::size_t table, const RowIndex *indices,
     if (_cfg.verifyTouched) {
         // Verify the tier blocks this bag's resident lookups touch
         // before serving a byte of them (the tier-side mirror of the
-        // Router's verify-touched integrity path). Corrupt blocks are
+        // fleet's verifyBlocks path). Corrupt blocks are
         // quarantined and repaired from the cold store, then the scan
         // re-runs — bounded by the block count, in practice one retry.
         for (;;) {

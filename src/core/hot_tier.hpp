@@ -87,8 +87,8 @@ struct HotTierConfig
 
     /**
      * Verify the tier blocks a bag's resident lookups touch before
-     * accumulating — the tier-side mirror of the Router's
-     * IntegrityConfig verify-touched path. A corrupt block is
+     * accumulating — the tier-side mirror of the fleet's
+     * FleetConfig::verifyBlocks path. A corrupt block is
      * quarantined and repaired from the cold store before any byte of
      * it is served, so even an unscrubbed flip causes zero wrong
      * predictions (at a per-bag verification cost).

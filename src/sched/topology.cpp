@@ -104,19 +104,6 @@ Topology::partition(std::size_t n) const
     return groups;
 }
 
-PipelineSplit
-Topology::pipelineSplit() const
-{
-    if (_cores.size() < 2) {
-        throw std::invalid_argument(
-            "Topology::pipelineSplit: need at least 2 physical cores, "
-            "have " +
-            std::to_string(_cores.size()));
-    }
-    auto groups = partition(2);
-    return PipelineSplit{std::move(groups[0]), std::move(groups[1])};
-}
-
 Topology
 Topology::synthetic(std::size_t cores, std::size_t threads_per_core)
 {

@@ -18,8 +18,6 @@
 namespace dlrmopt::sched
 {
 
-struct PipelineSplit;
-
 /**
  * Grouping of logical CPUs by physical core.
  */
@@ -66,7 +64,7 @@ class Topology
      * Splits the physical cores into @p n disjoint contiguous groups
      * of near-equal size (the first cores % n groups get one extra
      * core). Each group is a standalone Topology suitable for one
-     * serving instance, so a Router over N instances can give every
+     * serving instance, so a cluster of N instances can give every
      * instance its own private core set with no sharing.
      *
      * @throws std::invalid_argument when n is zero or exceeds
@@ -84,28 +82,8 @@ class Topology
     static Topology synthetic(std::size_t cores,
                               std::size_t threads_per_core);
 
-    /**
-     * Gather/compute core-group split for overlapping the
-     * memory-bound embedding-gather stage with the compute-bound
-     * interaction+MLP stage on disjoint core groups. The
-     * gather group comes first (and takes the extra core when the
-     * count is odd — the gather stage is the bandwidth-bound one the
-     * paper shows dominating at-scale serving).
-     *
-     * @throws std::invalid_argument when fewer than two physical
-     *         cores are available (no disjoint groups to overlap on).
-     */
-    PipelineSplit pipelineSplit() const;
-
   private:
     std::vector<std::vector<int>> _cores;
-};
-
-/** Disjoint core groups for a gather/compute stage overlap. */
-struct PipelineSplit
-{
-    Topology gather;  //!< cores for the embedding-gather stage
-    Topology compute; //!< cores for the interaction+MLP stage
 };
 
 /**

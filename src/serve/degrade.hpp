@@ -16,8 +16,8 @@
  *             tuning overhead or mistuned-prefetch cache pollution)
  *   tier 5  executes exactly like tier 4; it differs only in the
  *             unbatched price factor (knobFactor 0.50 vs 0.55), which
- *             only the per-request virtual clocks of an unbatched
- *             Server session and the Router apply
+ *             only the per-request virtual clock of an unbatched
+ *             Server session applies
  *
  * Escalation happens when the window p95 exceeds the high-water
  * fraction of the SLA; de-escalation when it stays below the

@@ -1,7 +1,7 @@
 /**
  * @file
  * The lifecycle of a cluster's serving instances on the virtual clock:
- * the one state machine the Router and the TenantFleet both drive.
+ * the state machine the TenantFleet drives.
  *
  *   Up --drain/crash--> Draining --in-flight work done--> Down
  *   Down --recover/scale-up--> WarmRestart --probation--> Up
@@ -11,8 +11,8 @@
  * dispatches may still be executing: the slot takes no fresh work but
  * its in-flight work finishes. A partial drain keeps a residual core
  * group open for work already bound to the slot, lingering a grace
- * past its last dispatch. The time each slot spends Up is both the
- * Router's availability and the fleet's instance-ms cost.
+ * past its last dispatch. The time each slot spends Up is the fleet's
+ * instance-ms cost.
  *
  * The set also holds the only replay of a FaultSchedule's lifecycle
  * events and bit flips: events apply in time order with the lifecycle
@@ -151,14 +151,10 @@ class InstanceSet
      */
     void advanceTo(double now_ms);
 
-    /** The schedule's active injector for slot i, else @p fallback. */
-    const FaultInjector *
-    injectorAt(std::size_t i, double now_ms,
-               const FaultInjector *fallback = nullptr) const
+    /** The schedule's active injector for slot i (null when none). */
+    const FaultInjector *injectorAt(std::size_t i, double now_ms) const
     {
-        const FaultInjector *f =
-            _schedule ? _schedule->injectorAt(now_ms, i) : nullptr;
-        return f ? f : fallback;
+        return _schedule ? _schedule->injectorAt(now_ms, i) : nullptr;
     }
 
     /** Next drain deadline, probation end or scripted lifecycle event

@@ -2,7 +2,7 @@
  * @file
  * Background checksum scrubbing over the shared EmbeddingStore.
  *
- * The on-demand integrity path (Router's IntegrityConfig) verifies
+ * The on-demand integrity path (FleetConfig::verifyBlocks) verifies
  * only the blocks a request's lookups touch, so a bit flip in a cold
  * block sits undetected until an unlucky request lands on it — by
  * which time a long-tail of requests may already have raced past it.

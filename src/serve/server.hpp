@@ -235,8 +235,7 @@ class Server
      * workspace grows on demand when the group exceeds its current
      * capacity. Throws whatever the pool task threw. This is the one
      * fused execution path: serve() drives it for every dispatch, the
-     * Router and the multi-tenant fleet call it from their own
-     * cluster-level event loops.
+     * fleet calls it from its cluster-level event loop.
      *
      * @throws std::invalid_argument on a zero-sample part.
      */

@@ -2,8 +2,8 @@
  * @file
  * Batch-size-aware service-time model for the serving layer.
  *
- * The virtual-clock serving loops (Server, Router, the shedding queue
- * simulator) need a deterministic estimate of how long one dispatch
+ * The virtual-clock serving loops (Server, TenantFleet, the shedding
+ * queue simulator) need a deterministic estimate of how long one dispatch
  * takes. A single scalar per-request number cannot price coalesced
  * batches: real DLRM forwards have a fixed per-dispatch cost (kernel
  * launch, small-batch GEMM inefficiency, stage setup) plus a marginal

@@ -95,45 +95,6 @@ TEST(Topology, PartitionRejectsImpossibleGroupCounts)
     EXPECT_THROW(t.partition(5), std::invalid_argument);
 }
 
-TEST(Topology, PipelineSplitGivesGatherTheExtraCore)
-{
-    // Even count: a clean halving.
-    const PipelineSplit even = Topology::synthetic(4, 2).pipelineSplit();
-    EXPECT_EQ(even.gather.numPhysicalCores(), 2u);
-    EXPECT_EQ(even.compute.numPhysicalCores(), 2u);
-
-    // Odd count: the memory-bound gather group takes the remainder
-    // (partition puts the extra core in the leading group).
-    const PipelineSplit odd = Topology::synthetic(5, 2).pipelineSplit();
-    EXPECT_EQ(odd.gather.numPhysicalCores(), 3u);
-    EXPECT_EQ(odd.compute.numPhysicalCores(), 2u);
-
-    // The two lanes are disjoint and jointly cover the parent.
-    const Topology t = Topology::synthetic(5, 2);
-    std::vector<int> all;
-    for (const Topology *g : {&odd.gather, &odd.compute}) {
-        for (std::size_t c = 0; c < g->numPhysicalCores(); ++c) {
-            for (int cpu : g->siblings(c))
-                all.push_back(cpu);
-        }
-    }
-    std::sort(all.begin(), all.end());
-    ASSERT_EQ(all.size(), t.numLogicalCpus());
-    for (std::size_t i = 0; i < all.size(); ++i)
-        EXPECT_EQ(all[i], static_cast<int>(i));
-
-    // A two-core host still pipelines: one core per lane.
-    const PipelineSplit pair = Topology::synthetic(2, 1).pipelineSplit();
-    EXPECT_EQ(pair.gather.numPhysicalCores(), 1u);
-    EXPECT_EQ(pair.compute.numPhysicalCores(), 1u);
-}
-
-TEST(Topology, PipelineSplitRejectsSingleCoreHosts)
-{
-    EXPECT_THROW(Topology::synthetic(1, 2).pipelineSplit(),
-                 std::invalid_argument);
-}
-
 TEST(Topology, PinToCurrentCpuSucceedsOrFailsGracefully)
 {
     // Pinning to CPU 0 should normally work; a restricted sandbox may

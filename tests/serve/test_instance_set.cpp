@@ -189,18 +189,18 @@ TEST(InstanceSetTest, SessionsKeepStatesAndResetClocks)
     EXPECT_DOUBLE_EQ(set.upMs(1, 4.0), 0.0);
 }
 
-TEST(InstanceSetTest, InjectorFollowsTheScheduleElseTheFallback)
+TEST(InstanceSetTest, InjectorFollowsTheSchedule)
 {
     FaultConfig throwing;
     throwing.taskExceptionRate = 1.0;
     const FaultSchedule script({{5.0, 0, throwing}}, {}, {});
-    const FaultInjector fallback{FaultConfig{}};
     InstanceSet set({1, 1}, InstanceSetConfig{}, 2);
+    EXPECT_EQ(set.injectorAt(0, 6.0), nullptr); // no session yet
     set.startSession(&script, {});
-    EXPECT_EQ(set.injectorAt(0, 1.0, &fallback), &fallback);
-    const FaultInjector *phase = set.injectorAt(0, 6.0, &fallback);
+    EXPECT_EQ(set.injectorAt(0, 1.0), nullptr);
+    const FaultInjector *phase = set.injectorAt(0, 6.0);
     ASSERT_NE(phase, nullptr);
-    EXPECT_NE(phase, &fallback);
+    EXPECT_EQ(phase->config().taskExceptionRate, 1.0);
     EXPECT_EQ(set.injectorAt(1, 6.0), nullptr);
 }
 

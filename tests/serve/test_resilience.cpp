@@ -1,12 +1,12 @@
 /**
  * @file
- * Cluster-resilience acceptance tests (ISSUE 4): a scripted chaos
- * session — instance crash mid-session plus silent embedding
- * corruption — must serve zero wrong predictions (asserted bitwise
- * against a fault-free run), warm-restart the crashed instance within
- * the session, stay bit-reproducible under a fixed seed, and show
- * breakers + hedging strictly improving SLA compliance; RouterStats
- * accounting invariants must hold through all of it.
+ * Cluster-resilience acceptance tests on a single-tenant TenantFleet:
+ * a scripted chaos session — instance crash mid-session plus silent
+ * embedding corruption — must serve zero wrong predictions with block
+ * verification on (asserted bitwise against a fault-free run), serve
+ * wrong ones with it off, warm-restart the crashed instance within the
+ * session and stay bit-reproducible under a fixed seed; FleetStats
+ * accounting invariants must hold through every chaos scenario.
  */
 
 #include <gtest/gtest.h>
@@ -15,11 +15,10 @@
 #include <string>
 #include <vector>
 
-#include "core/embedding_store.hpp"
 #include "serve/fault_schedule.hpp"
+#include "serve/fleet.hpp"
 #include "serve/instance_set.hpp"
 #include "serve/loadgen.hpp"
-#include "serve/router.hpp"
 #include "trace/generator.hpp"
 
 namespace
@@ -53,31 +52,56 @@ class ResilienceTest : public ::testing::Test
             smallModel(), traces::Hotness::Medium, 5);
         tc.batchSize = 8;
         traces::TraceGenerator gen(tc);
+        work.resize(1);
         for (std::size_t b = 0; b < 16; ++b)
-            batches.push_back(gen.batch(b));
-        dense.reshape(8, smallModel().denseDim());
-        dense.randomize(3);
+            work[0].batches.push_back(gen.batch(b));
+        work[0].dense.reshape(8, smallModel().denseDim());
+        work[0].dense.randomize(3);
     }
 
     /** A row the request stream is guaranteed to look up. */
     std::size_t
     hotRow() const
     {
-        return static_cast<std::size_t>(batches.front().indices[0][0]);
+        return static_cast<std::size_t>(
+            work[0].batches.front().indices[0][0]);
     }
 
-    RouterConfig
-    baseConfig() const
+    /** One tenant at @p sla_ms whose dispatches cost @p service. */
+    static TenantRegistry
+    registry(double sla_ms = 50.0,
+             ServiceModel service = ServiceModel::constant(1.0))
     {
-        RouterConfig cfg;
+        TenantConfig t;
+        t.name = "single";
+        t.model = smallModel();
+        t.slaMs = sla_ms;
+        t.service = service;
+        t.truth = ServiceTimeline(service);
+        TenantRegistry reg;
+        reg.add(t);
+        return reg;
+    }
+
+    static FleetConfig
+    baseConfig()
+    {
+        FleetConfig cfg;
         cfg.instances = 2;
-        cfg.policy = RoutePolicy::RoundRobin;
-        cfg.server.slaMs = 50.0;
-        cfg.server.service = ServiceModel::constant(1.0);
-        cfg.server.maxRetries = 2;
-        cfg.recordPredictions = true;
-        cfg.probationMs = 5.0;
+        cfg.maxRetries = 2;
+        cfg.capacity.probationMs = 5.0;
+        cfg.seed = 11;
         return cfg;
+    }
+
+    /** Serves the fixture's stream over @p arrivals on @p fleet. */
+    FleetStats
+    serve(TenantFleet& fleet, std::vector<double> arrivals,
+          const FaultSchedule *script = nullptr)
+    {
+        work[0].arrivalsMs = std::move(arrivals);
+        return fleet.serve(work, core::PrefetchSpec::paperDefault(),
+                           script);
     }
 
     /** Crash instance 0 mid-session, recover it, and silently flip a
@@ -93,8 +117,28 @@ class ResilienceTest : public ::testing::Test
         return FaultSchedule({}, std::move(lc), std::move(flips));
     }
 
-    std::vector<core::SparseBatch> batches;
-    core::Tensor dense;
+    /** Served requests of @p got whose prediction differs bitwise from
+     *  @p ref's; @p compared counts the requests both served. */
+    static std::size_t
+    wrongAnswers(const FleetStats& got, const FleetStats& ref,
+                 std::size_t *compared = nullptr)
+    {
+        const auto& g = got.perTenant[0].predFingerprints;
+        const auto& r = ref.perTenant[0].predFingerprints;
+        std::size_t wrong = 0, both = 0;
+        for (std::size_t i = 0; i < g.size(); ++i) {
+            if (g[i] == 0 || r[i] == 0)
+                continue; // not served in one of the runs
+            ++both;
+            wrong += g[i] != r[i];
+        }
+        if (compared)
+            *compared = both;
+        return wrong;
+    }
+
+    std::vector<TenantWorkload> work;
+    sched::Topology topo = sched::Topology::synthetic(4, 2);
 };
 
 TEST_F(ResilienceTest, ChaosSessionServesZeroWrongPredictions)
@@ -102,134 +146,73 @@ TEST_F(ResilienceTest, ChaosSessionServesZeroWrongPredictions)
     const auto arrivals = PoissonLoadGen(1.0, 3).arrivals(150);
 
     // Fault-free reference: what every prediction should be.
-    auto ref_store = core::EmbeddingStore::createMutable(smallModel(), 11);
-    Router ref_router(smallModel(), ref_store,
-                      sched::Topology::synthetic(4, 2), baseConfig());
-    const auto ref = ref_router.serve(dense, batches, arrivals);
+    TenantFleet ref_fleet(registry(), topo, baseConfig());
+    const FleetStats ref = serve(ref_fleet, arrivals);
     ASSERT_EQ(ref.total.served, 150u);
 
-    // Chaos run: crash + corruption, integrity verification on.
-    RouterConfig cfg = baseConfig();
-    cfg.integrity.enabled = true;
-    cfg.integrity.repair = true;
-    auto store = core::EmbeddingStore::createMutable(smallModel(), 11);
-    Router router(smallModel(), store,
-                  sched::Topology::synthetic(4, 2), cfg);
+    // Chaos run: crash + corruption, block verification on.
+    FleetConfig cfg = baseConfig();
+    cfg.verifyBlocks = true;
+    TenantFleet fleet(registry(), topo, cfg);
     const auto script = chaosScript();
-    const auto rs = router.serve(dense, batches, arrivals,
-                                 core::PrefetchSpec::paperDefault(),
-                                 &script);
+    const FleetStats fs = serve(fleet, arrivals, &script);
 
-    // The crash happened and the instance warm-restarted in-session.
-    EXPECT_EQ(rs.crashes, 1u);
-    EXPECT_EQ(rs.restarts, 1u);
-    EXPECT_EQ(router.lifecycle(0).state, InstanceState::Up);
-    EXPECT_EQ(router.lifecycle(0).restarts, 1u);
-    ASSERT_EQ(rs.availability.size(), 2u);
-    EXPECT_LT(rs.availability[0], 1.0);
-    EXPECT_DOUBLE_EQ(rs.availability[1], 1.0);
-    EXPECT_GT(rs.perInstance[0].served, 0u);
+    // The crash happened, the instance warm-restarted in-session, and
+    // its outage shows in the provisioned instance-ms.
+    EXPECT_EQ(fs.crashes, 1u);
+    EXPECT_EQ(fs.restarts, 1u);
+    EXPECT_LT(fs.instanceMsUp, 2.0 * fs.makespanMs);
+    EXPECT_TRUE(fs.conserved());
 
     // The corruption was caught and repaired, never served.
-    EXPECT_GE(rs.corruptionsDetected, 1u);
-    EXPECT_GE(rs.blocksRepaired, 1u);
-    EXPECT_EQ(rs.integrityDegraded, 0u);
-    EXPECT_TRUE(store->findCorruptBlocks().empty());
+    EXPECT_GE(fs.verifyRepairs, 1u);
+    EXPECT_TRUE(fleet.currentStore(0).findCorruptBlocks().empty());
 
     // Acceptance: zero wrong predictions served — every served
     // request's prediction is bitwise-identical to the fault-free run.
-    ASSERT_EQ(rs.predFingerprints.size(), 150u);
+    ASSERT_EQ(fs.perTenant[0].predFingerprints.size(), 150u);
     std::size_t compared = 0;
-    for (std::size_t r = 0; r < 150; ++r) {
-        if (rs.predFingerprints[r] == 0 ||
-            ref.predFingerprints[r] == 0)
-            continue; // not served in one of the runs
-        EXPECT_EQ(rs.predFingerprints[r], ref.predFingerprints[r])
-            << "request " << r << " served a wrong prediction";
-        ++compared;
-    }
+    EXPECT_EQ(wrongAnswers(fs, ref, &compared), 0u);
     EXPECT_GT(compared, 100u);
 }
 
 TEST_F(ResilienceTest, CorruptionWithoutIntegrityServesWrongAnswers)
 {
-    // The control experiment: same corruption, integrity checks off —
-    // wrong predictions ARE served, which is exactly what the
-    // integrity layer exists to prevent.
+    // The control experiment: same corruption, verification off —
+    // wrong predictions ARE served, which is exactly what block
+    // verification exists to prevent.
     const auto arrivals = PoissonLoadGen(1.0, 3).arrivals(100);
 
-    auto ref_store = core::EmbeddingStore::createMutable(smallModel(), 11);
-    Router ref_router(smallModel(), ref_store,
-                      sched::Topology::synthetic(4, 2), baseConfig());
-    const auto ref = ref_router.serve(dense, batches, arrivals);
+    TenantFleet ref_fleet(registry(), topo, baseConfig());
+    const FleetStats ref = serve(ref_fleet, arrivals);
 
-    auto store = core::EmbeddingStore::createMutable(smallModel(), 11);
-    Router router(smallModel(), store,
-                  sched::Topology::synthetic(4, 2), baseConfig());
-    std::vector<BitFlipEvent> flips = {{0.0, 0, hotRow(), 30}};
-    const FaultSchedule script({}, {}, std::move(flips));
-    const auto rs = router.serve(dense, batches, arrivals,
-                                 core::PrefetchSpec::paperDefault(),
-                                 &script);
+    TenantFleet fleet(registry(), topo, baseConfig());
+    const FaultSchedule script({}, {}, {{0.0, 0, hotRow(), 30}});
+    const FleetStats fs = serve(fleet, arrivals, &script);
 
-    EXPECT_FALSE(store->findCorruptBlocks().empty());
-    std::size_t wrong = 0;
-    for (std::size_t r = 0; r < 100; ++r) {
-        if (rs.predFingerprints[r] != 0 &&
-            ref.predFingerprints[r] != 0 &&
-            rs.predFingerprints[r] != ref.predFingerprints[r])
-            ++wrong;
-    }
-    EXPECT_GT(wrong, 0u);
-}
-
-TEST_F(ResilienceTest, IntegrityWithoutRepairDegradesInsteadOfServing)
-{
-    const auto arrivals = PoissonLoadGen(1.0, 3).arrivals(60);
-    RouterConfig cfg = baseConfig();
-    cfg.integrity.enabled = true;
-    cfg.integrity.repair = false;
-    auto store = core::EmbeddingStore::createMutable(smallModel(), 11);
-    Router router(smallModel(), store,
-                  sched::Topology::synthetic(4, 2), cfg);
-    std::vector<BitFlipEvent> flips = {{0.0, 0, hotRow(), 30}};
-    const FaultSchedule script({}, {}, std::move(flips));
-    const auto rs = router.serve(dense, batches, arrivals,
-                                 core::PrefetchSpec::paperDefault(),
-                                 &script);
-
-    // Touching requests are degraded (counted failures), the block
-    // stays corrupt (no repair), and nothing wrong is served.
-    EXPECT_GT(rs.integrityDegraded, 0u);
-    EXPECT_EQ(rs.integrityDegraded,
-              rs.total.failed); // no other fault source
-    EXPECT_FALSE(store->findCorruptBlocks().empty());
-    EXPECT_EQ(rs.total.served + rs.total.shed + rs.total.failed, 60u);
+    EXPECT_FALSE(fleet.currentStore(0).findCorruptBlocks().empty());
+    EXPECT_EQ(fs.verifyRepairs, 0u);
+    EXPECT_GT(wrongAnswers(fs, ref), 0u);
 }
 
 TEST_F(ResilienceTest, WarmRestartedInstanceServesAgainInSession)
 {
-    // Crash instance 0 before the first arrival: every request it
-    // serves is therefore proof of post-restart serving.
-    const auto arrivals = PoissonLoadGen(1.0, 3).arrivals(100);
-    auto store = core::EmbeddingStore::createMutable(smallModel(), 11);
-    Router router(smallModel(), store,
-                  sched::Topology::synthetic(4, 2), baseConfig());
-    std::vector<LifecycleEvent> lc = {
-        {0.0, 0, Kind::Crash},
-        {20.0, 0, Kind::Recover},
-    };
-    const FaultSchedule script({}, std::move(lc), {});
-    const auto rs = router.serve(dense, batches, arrivals,
-                                 core::PrefetchSpec::paperDefault(),
-                                 &script);
+    // One instance, crashed before the first arrival: every request
+    // served is therefore proof of post-restart serving.
+    FleetConfig cfg = baseConfig();
+    cfg.instances = 1;
+    TenantFleet fleet(registry(), topo, cfg);
+    const FaultSchedule script(
+        {}, {{0.0, 0, Kind::Crash}, {20.0, 0, Kind::Recover}}, {});
+    const FleetStats fs =
+        serve(fleet, PoissonLoadGen(1.0, 3).arrivals(100), &script);
 
-    EXPECT_EQ(rs.restarts, 1u);
-    EXPECT_GT(rs.perInstance[0].served, 0u);
-    EXPECT_EQ(router.lifecycle(0).state, InstanceState::Up);
-    // While down, the cluster kept serving on the survivor.
-    EXPECT_EQ(rs.total.served, 100u);
-    EXPECT_EQ(rs.total.failed, 0u);
+    EXPECT_EQ(fs.crashes, 1u);
+    EXPECT_EQ(fs.restarts, 1u);
+    EXPECT_EQ(fs.total.served, 100u);
+    EXPECT_EQ(fs.total.failed, 0u);
+    // Up from the end of probation (20 + 5 ms) to the last dispatch.
+    EXPECT_NEAR(fs.instanceMsUp, fs.makespanMs - 25.0, 1e-9);
 }
 
 TEST_F(ResilienceTest, CrashDuringProbationTakesTheInstanceDown)
@@ -237,110 +220,57 @@ TEST_F(ResilienceTest, CrashDuringProbationTakesTheInstanceDown)
     // Instance 0 warm-restarts at 20 ms and crashes again at 22 ms,
     // inside its 5 ms probation; it recovers at 80 ms, so its second
     // probation ends at 85 ms. Every request arrives inside that
-    // outage, so none of them may land on instance 0.
+    // outage, so the one instance serves them all after it.
     std::vector<double> arrivals;
     for (std::size_t r = 0; r < 100; ++r)
         arrivals.push_back(22.5 + 0.6 * static_cast<double>(r));
-    auto store = core::EmbeddingStore::createMutable(smallModel(), 11);
-    Router router(smallModel(), store,
-                  sched::Topology::synthetic(4, 2), baseConfig());
-    std::vector<LifecycleEvent> lc = {
-        {10.0, 0, Kind::Crash},
-        {20.0, 0, Kind::Recover},
-        {22.0, 0, Kind::Crash},
-        {80.0, 0, Kind::Recover},
-    };
-    const FaultSchedule script({}, std::move(lc), {});
-    const auto rs = router.serve(dense, batches, arrivals,
-                                 core::PrefetchSpec::paperDefault(),
-                                 &script);
+    FleetConfig cfg = baseConfig();
+    cfg.instances = 1;
+    TenantFleet fleet(registry(500.0), topo, cfg);
+    const FaultSchedule script({},
+                               {{10.0, 0, Kind::Crash},
+                                {20.0, 0, Kind::Recover},
+                                {22.0, 0, Kind::Crash},
+                                {80.0, 0, Kind::Recover}},
+                               {});
+    const FleetStats fs = serve(fleet, arrivals, &script);
 
-    EXPECT_EQ(rs.crashes, 2u);
-    EXPECT_EQ(rs.perInstance[0].served, 0u);
-    EXPECT_EQ(rs.perInstance[0].arrived, 0u);
-    EXPECT_EQ(rs.total.served, 100u);
-    // Up only before the first crash.
-    EXPECT_NEAR(rs.availability[0] * rs.makespanMs, 10.0, 1e-9);
+    EXPECT_EQ(fs.crashes, 2u);
+    EXPECT_EQ(fs.total.served, 100u);
+    // Up only before the first crash and from 85 ms on.
+    EXPECT_NEAR(fs.instanceMsUp, 10.0 + fs.makespanMs - 85.0, 1e-9);
 }
 
 TEST_F(ResilienceTest, FaultySessionIsBitReproducible)
 {
     // Acceptance: the whole chaos session — crash, restart, bit flip,
-    // integrity repair — replays bit-identically under a fixed seed.
+    // verification repair — replays bit-identically under a fixed
+    // seed.
     const auto arrivals = PoissonLoadGen(1.0, 3).arrivals(120);
-    RouterConfig cfg = baseConfig();
-    cfg.integrity.enabled = true;
-    cfg.integrity.repair = true;
+    FleetConfig cfg = baseConfig();
+    cfg.verifyBlocks = true;
 
     const auto run = [&]() {
-        auto store =
-            core::EmbeddingStore::createMutable(smallModel(), 11);
-        Router router(smallModel(), store,
-                      sched::Topology::synthetic(4, 2), cfg);
+        TenantFleet fleet(registry(), topo, cfg);
         const auto script = chaosScript();
-        return router.serve(dense, batches, arrivals,
-                            core::PrefetchSpec::paperDefault(),
-                            &script);
+        return serve(fleet, arrivals, &script);
     };
-    const auto a = run();
-    const auto b = run();
+    const FleetStats a = run();
+    const FleetStats b = run();
 
     EXPECT_EQ(a.total.served, b.total.served);
     EXPECT_EQ(a.total.shed, b.total.shed);
     EXPECT_EQ(a.total.failed, b.total.failed);
     EXPECT_EQ(a.total.retried, b.total.retried);
-    EXPECT_EQ(a.failovers, b.failovers);
     EXPECT_EQ(a.compliant, b.compliant);
     EXPECT_EQ(a.crashes, b.crashes);
     EXPECT_EQ(a.restarts, b.restarts);
-    EXPECT_EQ(a.breakerTrips, b.breakerTrips);
-    EXPECT_EQ(a.hedges, b.hedges);
-    EXPECT_EQ(a.corruptionsDetected, b.corruptionsDetected);
-    EXPECT_EQ(a.blocksRepaired, b.blocksRepaired);
+    EXPECT_EQ(a.verifyRepairs, b.verifyRepairs);
     EXPECT_EQ(a.makespanMs, b.makespanMs);
-    ASSERT_EQ(a.predFingerprints.size(), b.predFingerprints.size());
-    for (std::size_t r = 0; r < a.predFingerprints.size(); ++r)
-        ASSERT_EQ(a.predFingerprints[r], b.predFingerprints[r]);
-    for (std::size_t i = 0; i < a.perInstance.size(); ++i) {
-        EXPECT_EQ(a.perInstance[i].served, b.perInstance[i].served);
-        EXPECT_EQ(a.availability[i], b.availability[i]);
-    }
-}
-
-TEST_F(ResilienceTest, BreakersAndHedgingImproveSlaCompliance)
-{
-    // Acceptance: under the flapping-straggler timeline, breakers +
-    // hedging must serve strictly more SLA-compliant requests than
-    // the same cluster with them disabled, over the same arrivals.
-    const auto arrivals = PoissonLoadGen(0.35, 13).arrivals(400);
-    const double session_ms = arrivals.back();
-
-    const auto run = [&](bool resilient) {
-        RouterConfig cfg = baseConfig();
-        cfg.recordPredictions = false;
-        cfg.server.slaMs = 12.0;
-        cfg.server.service = ServiceModel{0.8, 0.04};
-        if (resilient) {
-            cfg.breaker.enabled = true;
-            cfg.hedging = true;
-        }
-        auto store =
-            core::EmbeddingStore::createMutable(smallModel(), 11);
-        Router router(smallModel(), store,
-                      sched::Topology::synthetic(4, 2), cfg);
-        const auto script = FaultSchedule::chaosScenario(
-            "flapping-straggler", 2, session_ms, 7);
-        return router.serve(dense, batches, arrivals,
-                            core::PrefetchSpec::paperDefault(),
-                            &script);
-    };
-
-    const auto baseline = run(false);
-    const auto resilient = run(true);
-    EXPECT_GT(resilient.compliant, baseline.compliant);
-    EXPECT_GT(resilient.breakerTrips + resilient.hedges, 0u);
-    EXPECT_EQ(baseline.breakerTrips, 0u);
-    EXPECT_EQ(baseline.hedges, 0u);
+    EXPECT_EQ(a.instanceMsUp, b.instanceMsUp);
+    EXPECT_EQ(a.total.latency.samples(), b.total.latency.samples());
+    EXPECT_EQ(a.perTenant[0].predFingerprints,
+              b.perTenant[0].predFingerprints);
 }
 
 TEST_F(ResilienceTest, StatsInvariantsHoldUnderEveryChaosScenario)
@@ -349,90 +279,51 @@ TEST_F(ResilienceTest, StatsInvariantsHoldUnderEveryChaosScenario)
     const double session_ms = arrivals.back();
 
     for (const auto& name : FaultSchedule::scenarioNames()) {
-        RouterConfig cfg = baseConfig();
-        cfg.recordPredictions = false;
-        cfg.server.slaMs = 15.0;
-        cfg.server.service = ServiceModel{0.8, 0.04};
-        cfg.breaker.enabled = true;
-        cfg.hedging = true;
-        cfg.integrity.enabled = true;
-        cfg.integrity.repair = true;
+        FleetConfig cfg = baseConfig();
+        cfg.verifyBlocks = true;
+        TenantFleet fleet(registry(15.0, ServiceModel{0.8, 0.04}), topo,
+                          cfg);
+        const auto script =
+            FaultSchedule::chaosScenario(name, 2, session_ms, 7);
+        const FleetStats fs = serve(fleet, arrivals, &script);
 
-        auto store =
-            core::EmbeddingStore::createMutable(smallModel(), 11);
-        Router router(smallModel(), store,
-                      sched::Topology::synthetic(4, 2), cfg);
-        const auto script = FaultSchedule::chaosScenario(
-            name, 2, session_ms, 7);
-        const auto rs = router.serve(dense, batches, arrivals,
-                                     core::PrefetchSpec::paperDefault(),
-                                     &script);
-
-        // Every request reaches exactly one terminal outcome.
-        EXPECT_EQ(rs.total.served + rs.total.shed + rs.total.failed,
-                  rs.total.arrived)
+        // Every request reaches exactly one terminal outcome, and the
+        // one tenant's tallies are the fleet's.
+        EXPECT_TRUE(fs.conserved()) << name;
+        EXPECT_EQ(fs.total.arrived, 250u) << name;
+        const TenantStats& t = fs.perTenant[0];
+        EXPECT_EQ(t.stats.served, fs.total.served) << name;
+        EXPECT_EQ(t.stats.shed, fs.total.shed) << name;
+        EXPECT_EQ(t.stats.failed, fs.total.failed) << name;
+        EXPECT_EQ(t.compliant, fs.compliant) << name;
+        EXPECT_LE(fs.compliant, fs.total.served) << name;
+        EXPECT_EQ(fs.budgetShed + fs.deadlineShed, fs.total.shed)
             << name;
-        EXPECT_EQ(rs.total.arrived, 250u) << name;
-        EXPECT_LE(rs.compliant, rs.total.served) << name;
-        EXPECT_LE(rs.clusterShed, rs.total.shed) << name;
-        EXPECT_LE(rs.lifecycleShed, rs.total.shed) << name;
+        EXPECT_LE(fs.lifecycleShed, fs.total.failed) << name;
 
-        // Per-instance tallies fold up into the cluster totals;
-        // lifecycle sheds and no-instance failures are cluster-level
-        // and deliberately unattributed.
-        std::size_t served = 0, shed = 0, failed = 0;
-        std::uint64_t pool_failed = 0;
-        for (std::size_t i = 0; i < rs.perInstance.size(); ++i) {
-            served += rs.perInstance[i].served;
-            shed += rs.perInstance[i].shed;
-            failed += rs.perInstance[i].failed;
-            pool_failed += router.instance(i).totalFailed();
-            EXPECT_GE(rs.availability[i], 0.0) << name;
-            EXPECT_LE(rs.availability[i], 1.0) << name;
-        }
-        EXPECT_EQ(served, rs.total.served) << name;
-        EXPECT_EQ(shed + rs.lifecycleShed, rs.total.shed) << name;
-        EXPECT_LE(failed, rs.total.failed) << name;
-        // Every failover was provoked by at least one failed attempt
-        // on the instance it abandoned.
-        EXPECT_LE(rs.failovers, static_cast<std::size_t>(pool_failed))
-            << name;
-        EXPECT_LE(rs.blocksRepaired, rs.corruptionsDetected) << name;
-        EXPECT_FALSE(rs.summary().empty()) << name;
+        // Exactly the served requests carry a fingerprint.
+        std::size_t fingerprinted = 0;
+        for (const std::uint64_t fp : t.predFingerprints)
+            fingerprinted += fp != 0;
+        EXPECT_EQ(fingerprinted, fs.total.served) << name;
+        EXPECT_LE(fs.instanceMsUp, 2.0 * fs.makespanMs + 1e-9) << name;
+        EXPECT_FALSE(fs.summary().empty()) << name;
     }
 }
 
 TEST_F(ResilienceTest, ServeValidatesScheduleAgainstCluster)
 {
-    auto store = core::EmbeddingStore::createMutable(smallModel(), 11);
-    RouterConfig cfg = baseConfig();
-    Router router(smallModel(), store,
-                  sched::Topology::synthetic(4, 2), cfg);
-    const auto arrivals = PoissonLoadGen(1.0, 3).arrivals(10);
-
+    TenantFleet fleet(registry(), topo, baseConfig());
     // Schedule targets instance 5 of a 2-instance cluster.
     const FaultSchedule bad({}, {{1.0, 5, Kind::Crash}}, {});
-    EXPECT_THROW(router.serve(dense, batches, arrivals,
-                              core::PrefetchSpec::paperDefault(),
-                              &bad),
-                 std::invalid_argument);
-
-    // A corrupting schedule demands a mutable store handle.
-    std::shared_ptr<const core::EmbeddingStore> const_store =
-        core::EmbeddingStore::create(smallModel(), 11);
-    Router immutable(smallModel(), const_store,
-                     sched::Topology::synthetic(4, 2), cfg);
-    const FaultSchedule corrupting({}, {}, {{1.0, 0, 0, 0}});
-    EXPECT_THROW(immutable.serve(dense, batches, arrivals,
-                                 core::PrefetchSpec::paperDefault(),
-                                 &corrupting),
+    EXPECT_THROW(serve(fleet, PoissonLoadGen(1.0, 3).arrivals(10), &bad),
                  std::invalid_argument);
 }
 
 TEST_F(ResilienceTest, LifecycleTransitionsAreGuarded)
 {
-    // Direct state-machine checks on one slot (the router drives
-    // these transitions from scripted events).
+    // Direct state-machine checks on one slot (the fleet drives these
+    // transitions from scripted events and capacity moves).
     InstanceSet set({2}, InstanceSetConfig{}, 1);
     EXPECT_EQ(set[0].state, InstanceState::Up);
     EXPECT_THROW(set.markDown(0), std::logic_error);
@@ -450,113 +341,6 @@ TEST_F(ResilienceTest, LifecycleTransitionsAreGuarded)
     EXPECT_EQ(set[0].restarts, 1u);
     EXPECT_STREQ(instanceStateName(InstanceState::Draining),
                  "Draining");
-}
-
-TEST_F(ResilienceTest, TripRecencyPenaltySteersTrafficOffAFlapper)
-{
-    // Instance 0 throws everything for its first 25 ms, then heals.
-    // The breaker trips on it either way; the trip-recency and
-    // half-open penalties decide how eagerly health-aware routing
-    // sends traffic back once it closes again.
-    const auto arrivals = PoissonLoadGen(0.4, 13).arrivals(300);
-    const auto run = [&](double penalty_ms) {
-        RouterConfig cfg = baseConfig();
-        cfg.recordPredictions = false;
-        cfg.policy = RoutePolicy::HealthAware;
-        cfg.breaker.enabled = true;
-        cfg.halfOpenPenaltyMs = penalty_ms;
-        cfg.tripRecencyPenaltyMs = penalty_ms;
-        cfg.tripRecencyWindowMs = 1e6; // no decay within the session
-        auto store =
-            core::EmbeddingStore::createMutable(smallModel(), 11);
-        Router router(smallModel(), store,
-                      sched::Topology::synthetic(4, 2), cfg);
-        FaultConfig throwing;
-        throwing.taskExceptionRate = 1.0;
-        throwing.seed = 3;
-        const FaultSchedule script(
-            {{0.0, 0, throwing}, {25.0, 0, FaultConfig{}}}, {}, {});
-        return router.serve(dense, batches, arrivals,
-                            core::PrefetchSpec::paperDefault(),
-                            &script);
-    };
-
-    const auto shy = run(500.0);
-    const auto eager = run(0.0);
-    EXPECT_LT(shy.perInstance[0].served,
-              eager.perInstance[0].served);
-    EXPECT_GT(eager.perInstance[0].served, 0u);
-    for (const auto *rs : {&shy, &eager}) {
-        EXPECT_EQ(rs->total.arrived,
-                  rs->total.served + rs->total.shed +
-                      rs->total.failed);
-    }
-}
-
-TEST_F(ResilienceTest, PartialDrainServesPinnedRetriesInPlace)
-{
-    // A global fault phase keeps a steady stream of pinned retries in
-    // flight when instance 0 crashes. With a residual core configured
-    // the drain serves them in place instead of re-routing; without
-    // one, the partial-drain counter must stay zero.
-    const auto arrivals = PoissonLoadGen(0.5, 13).arrivals(300);
-    const auto run = [&](std::size_t residual) {
-        RouterConfig cfg = baseConfig();
-        cfg.recordPredictions = false;
-        cfg.partialDrainCores = residual;
-        auto store =
-            core::EmbeddingStore::createMutable(smallModel(), 11);
-        Router router(smallModel(), store,
-                      sched::Topology::synthetic(4, 2), cfg);
-        FaultConfig flaky;
-        flaky.taskExceptionRate = 0.4;
-        flaky.seed = 5;
-        const FaultSchedule script(
-            {{0.0, -1, flaky}},
-            {{40.0, 0, Kind::Crash}, {90.0, 0, Kind::Recover}}, {});
-        return router.serve(dense, batches, arrivals,
-                            core::PrefetchSpec::paperDefault(),
-                            &script);
-    };
-
-    const auto full = run(0);
-    const auto partial = run(1);
-    EXPECT_EQ(full.partialDrainServed, 0u);
-    EXPECT_GT(partial.partialDrainServed, 0u);
-    for (const auto *rs : {&full, &partial}) {
-        EXPECT_EQ(rs->crashes, 1u);
-        EXPECT_EQ(rs->total.arrived,
-                  rs->total.served + rs->total.shed +
-                      rs->total.failed);
-    }
-}
-
-TEST_F(ResilienceTest, RejectsBadRoutingAndScrubKnobs)
-{
-    auto store = core::EmbeddingStore::createMutable(smallModel(), 11);
-    RouterConfig cfg = baseConfig();
-    cfg.halfOpenPenaltyMs = -1.0;
-    EXPECT_THROW(Router(smallModel(), store,
-                        sched::Topology::synthetic(4, 2), cfg),
-                 std::invalid_argument);
-    cfg = baseConfig();
-    cfg.tripRecencyWindowMs = 0.0;
-    EXPECT_THROW(Router(smallModel(), store,
-                        sched::Topology::synthetic(4, 2), cfg),
-                 std::invalid_argument);
-
-    // A repairing scrubber needs a mutable store handle.
-    std::shared_ptr<const core::EmbeddingStore> ro =
-        core::EmbeddingStore::create(smallModel(), 11);
-    cfg = baseConfig();
-    cfg.scrub.enabled = true;
-    cfg.scrub.repair = true;
-    EXPECT_THROW(Router(smallModel(), ro,
-                        sched::Topology::synthetic(4, 2), cfg),
-                 std::invalid_argument);
-    cfg.scrub.repair = false;
-    EXPECT_NO_THROW(Router(smallModel(), ro,
-                           sched::Topology::synthetic(4, 2), cfg));
 }
 
 } // namespace

@@ -4,8 +4,8 @@
  * every (table, block) pair, bounded detection latency for a silent
  * flip in a *cold* block no request would touch, backlog catch-up on
  * sparse virtual-clock ticks, verify-only mode over a const store,
- * and the Router integration (scrub counters in RouterStats, a
- * scripted flip repaired in the background).
+ * and the fleet integration (scrub counters in FleetStats, a scripted
+ * flip repaired in the background).
  */
 
 #include <gtest/gtest.h>
@@ -16,8 +16,8 @@
 
 #include "core/embedding_store.hpp"
 #include "serve/fault_schedule.hpp"
+#include "serve/fleet.hpp"
 #include "serve/loadgen.hpp"
-#include "serve/router.hpp"
 #include "serve/scrub.hpp"
 #include "trace/generator.hpp"
 
@@ -186,47 +186,44 @@ TEST(Scrubber, DisabledIsANoOp)
     EXPECT_EQ(s.blocksScrubbed(), 0u);
 }
 
-TEST(RouterScrub, BackgroundScrubRepairsAScriptedFlipMidSession)
+TEST(FleetScrub, BackgroundScrubRepairsAScriptedFlipMidSession)
 {
     // A scripted early bit flip lands in a block; with scrubbing on,
-    // the session's RouterStats must report it found and repaired.
-    auto store = core::EmbeddingStore::createMutable(smallModel(), 11,
-                                                     128);
+    // a single-tenant fleet session must report it found and repaired.
     traces::TraceConfig tc = traces::TraceConfig::forModel(
         smallModel(), traces::Hotness::Medium, 5);
     tc.batchSize = 8;
     traces::TraceGenerator gen(tc);
-    std::vector<core::SparseBatch> batches;
+    std::vector<TenantWorkload> work(1);
     for (std::size_t b = 0; b < 16; ++b)
-        batches.push_back(gen.batch(b));
-    core::Tensor dense(8, smallModel().denseDim());
-    dense.randomize(3);
+        work[0].batches.push_back(gen.batch(b));
+    work[0].dense.reshape(8, smallModel().denseDim());
+    work[0].dense.randomize(3);
+    work[0].arrivalsMs = PoissonLoadGen(2.0, 9).arrivals(150);
 
-    RouterConfig cfg;
+    TenantConfig t;
+    t.name = "scrubbed";
+    t.model = smallModel();
+    t.slaMs = 50.0;
+    TenantRegistry reg;
+    reg.add(t);
+    FleetConfig cfg;
     cfg.instances = 2;
-    cfg.server.slaMs = 50.0;
-    cfg.server.service = ServiceModel::constant(1.0);
     cfg.scrub.enabled = true;
     cfg.scrub.intervalMs = 0.5;
     cfg.scrub.blocksPerTick = 2;
+    TenantFleet fleet(reg, sched::Topology::synthetic(4, 2), cfg);
 
-    FaultSchedule schedule({}, {},
-                           {BitFlipEvent{5.0, 0, 100, 7}});
+    const FaultSchedule schedule({}, {},
+                                 {BitFlipEvent{5.0, 0, 100, 7}});
+    const FleetStats fs = fleet.serve(
+        work, core::PrefetchSpec::paperDefault(), &schedule);
 
-    Router router(smallModel(), store,
-                  sched::Topology::synthetic(4, 2), cfg);
-    PoissonLoadGen load(2.0, 9);
-    const RouterStats rs = router.serve(dense, batches,
-                                        load.arrivals(150),
-                                        core::PrefetchSpec::paperDefault(),
-                                        &schedule);
-
-    EXPECT_GT(rs.blocksScrubbed, 0u);
-    EXPECT_EQ(rs.scrubCorruptions, 1u);
-    EXPECT_EQ(rs.scrubRepairs, 1u);
-    EXPECT_TRUE(store->findCorruptBlocks().empty());
-    EXPECT_EQ(rs.total.arrived,
-              rs.total.served + rs.total.shed + rs.total.failed);
+    EXPECT_GT(fs.blocksScrubbed, 0u);
+    EXPECT_EQ(fs.scrubCorruptions, 1u);
+    EXPECT_EQ(fs.scrubRepairs, 1u);
+    EXPECT_TRUE(fleet.currentStore(0).findCorruptBlocks().empty());
+    EXPECT_TRUE(fs.conserved());
 }
 
 /** Retargeting mid-sweep restarts the cursor on the new store's

@@ -530,7 +530,7 @@ TEST_F(ServerTest, BitFlipQuarantineRestoresBitwiseServing)
     const auto bad = mut->findCorruptBlocks();
     ASSERT_EQ(bad.size(), 1u);
 
-    // Quarantine + repair (the Router integrity sweep's job), then
+    // Quarantine + repair (what FleetConfig::verifyBlocks does), then
     // the identical session must serve bit-identical predictions
     // again — zero wrong answers survive the upset.
     mut->repairBlock(bad[0].table, bad[0].block);

@@ -236,7 +236,7 @@ TEST(CliRun, ServeQuantizedPrecisionFloorCountsEveryDispatch)
     EXPECT_EQ(s.find(" 0 quantized"), std::string::npos);
 }
 
-TEST(CliRun, RouterComparesSingleInstanceAgainstEveryPolicy)
+TEST(CliRun, RouterComparesOneInstanceAgainstTheCluster)
 {
     std::ostringstream out, err;
     const int rc =
@@ -249,12 +249,11 @@ TEST(CliRun, RouterComparesSingleInstanceAgainstEveryPolicy)
     EXPECT_EQ(rc, 0) << err.str();
     const std::string s = out.str();
     EXPECT_NE(s.find("one shared store"), std::string::npos);
-    EXPECT_NE(s.find("1 instance"), std::string::npos);
-    EXPECT_NE(s.find("2 instances rr"), std::string::npos);
-    EXPECT_NE(s.find("2 instances po2"), std::string::npos);
-    EXPECT_NE(s.find("2 instances health"), std::string::npos);
+    EXPECT_NE(s.find("1 instance "), std::string::npos);
+    EXPECT_NE(s.find("2 instances"), std::string::npos);
     EXPECT_NE(s.find("straggler: instance 1"), std::string::npos);
     EXPECT_NE(s.find("req/s"), std::string::npos);
+    EXPECT_NE(s.find("arrived 60"), std::string::npos);
 }
 
 TEST(CliRun, RouterRejectsBadOptions)
@@ -265,7 +264,15 @@ TEST(CliRun, RouterRejectsBadOptions)
                          "4"}),
                   out, err),
               0);
-    EXPECT_NE(run(parse({"router", "--policy", "warp"}), out, err), 0);
+    // The routing policies and cross-instance failover are gone.
+    for (const char *gone : {"--policy", "--failovers"}) {
+        std::ostringstream o, e;
+        EXPECT_EQ(run(parse({"router", gone, "1"}), o, e), 1) << gone;
+        EXPECT_NE(e.str().find("error: "), std::string::npos) << gone;
+        EXPECT_NE(e.str().find("was removed"), std::string::npos)
+            << gone;
+        EXPECT_TRUE(o.str().empty()) << gone;
+    }
 }
 
 TEST(CliRun, BatchComparesUnbatchedAgainstCoalescing)
@@ -340,7 +347,7 @@ TEST(CliRun, SweepRejectsUnknownAxis)
               0);
 }
 
-TEST(CliRun, ChaosReplaysBaselineAndResilientPerScenario)
+TEST(CliRun, ChaosReplaysVerifyOffAndOnPerScenario)
 {
     std::ostringstream out, err;
     const int rc =
@@ -354,8 +361,8 @@ TEST(CliRun, ChaosReplaysBaselineAndResilientPerScenario)
     const std::string s = out.str();
     EXPECT_NE(s.find("chaos replay"), std::string::npos);
     EXPECT_NE(s.find("crash-storm"), std::string::npos);
-    EXPECT_NE(s.find("baseline"), std::string::npos);
-    EXPECT_NE(s.find("resilient"), std::string::npos);
+    EXPECT_NE(s.find("verify off"), std::string::npos);
+    EXPECT_NE(s.find("verify on"), std::string::npos);
     EXPECT_NE(s.find("compliant"), std::string::npos);
 }
 
@@ -370,6 +377,12 @@ TEST(CliRun, ChaosRejectsBadOptions)
                   out, err),
               0);
     EXPECT_NE(run(parse({"chaos", "--requests", "0"}), out, err), 0);
+    for (const char *gone : {"--policy", "--failovers"}) {
+        std::ostringstream o, e;
+        EXPECT_EQ(run(parse({"chaos", gone, "rr"}), o, e), 1) << gone;
+        EXPECT_NE(e.str().find("was removed"), std::string::npos)
+            << gone;
+    }
     // Usage advertises the new subcommand.
     std::ostringstream uout, uerr;
     run(parse({"frobnicate"}), uout, uerr);

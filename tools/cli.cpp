@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <ostream>
 #include <stdexcept>
 
@@ -21,7 +22,6 @@
 #include "serve/fault_schedule.hpp"
 #include "serve/fleet.hpp"
 #include "serve/loadgen.hpp"
-#include "serve/router.hpp"
 #include "serve/server.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
@@ -653,30 +653,69 @@ cmdServe(const ParsedArgs& args, std::ostream& out)
     return 0;
 }
 
+/** ParsedArgs ignores unknown options, so a removed flag fails
+ *  loudly instead of quietly printing a different table. */
+void
+rejectRemoved(const ParsedArgs& args,
+              std::initializer_list<const char *> flags,
+              const char *with)
+{
+    for (const char *gone : flags) {
+        if (args.has(gone)) {
+            throw std::invalid_argument(std::string("--") + gone +
+                                        " was removed with " + with);
+        }
+    }
+}
+
+/** The one tenant `router` and `chaos` serve: @p model at --sla, with
+ *  the virtual clock priced by the same --service-ms model admission
+ *  estimates with. */
+serve::TenantRegistry
+singleTenant(const core::ModelConfig& model, const ParsedArgs& args)
+{
+    serve::TenantConfig tc;
+    tc.name = model.name;
+    tc.model = model;
+    tc.slaMs = args.getDouble("sla", 25.0);
+    tc.service = serve::ServiceModel::constant(
+        args.getDouble("service-ms", 1.0));
+    tc.truth = serve::ServiceTimeline(tc.service);
+    serve::TenantRegistry reg;
+    reg.add(tc);
+    return reg;
+}
+
+/** A batching-off single-tenant fleet of @p instances slots. */
+serve::FleetConfig
+clusterConfig(const ParsedArgs& args, std::size_t instances,
+              std::uint64_t seed)
+{
+    serve::FleetConfig cfg;
+    cfg.instances = instances;
+    cfg.admission = !args.has("no-admission");
+    cfg.maxRetries =
+        static_cast<std::size_t>(args.getInt("retries", 2));
+    cfg.seed = seed;
+    return cfg;
+}
+
 int
 cmdRouter(const ParsedArgs& args, std::ostream& out)
 {
-    // Same scaled-down real-execution setup as `serve`, but fronted
-    // by a Router: one shared EmbeddingStore, N replica instances
-    // over disjoint core groups, the same Poisson stream for every
-    // configuration so the comparison is apples to apples.
+    // Same scaled-down real-execution setup as `serve`, but served by
+    // a single-tenant fleet: one shared EmbeddingStore, N replica
+    // instances over disjoint core groups fed from one queue, the
+    // same Poisson stream for every row so the comparison is apples
+    // to apples.
+    rejectRemoved(args, {"policy", "failovers"},
+                  "the Router's routing policies and failover");
     const auto base = core::modelByName(args.get("model", "rm2_1"));
     const double max_bytes =
         args.getDouble("max-bytes", 64.0 * (1u << 20));
     const auto cfg_model = base.scaledToFit(max_bytes);
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
-
-    serve::RouterConfig rcfg;
-    rcfg.server.slaMs = args.getDouble("sla", 25.0);
-    rcfg.server.service = serve::ServiceModel::constant(
-        args.getDouble("service-ms", 1.0));
-    rcfg.server.admission = !args.has("no-admission");
-    rcfg.server.maxRetries =
-        static_cast<std::size_t>(args.getInt("retries", 2));
-    rcfg.seed = seed;
-    rcfg.maxFailovers =
-        static_cast<std::size_t>(args.getInt("failovers", 1));
 
     const std::size_t cores =
         static_cast<std::size_t>(args.getInt("cores", 4));
@@ -692,9 +731,6 @@ cmdRouter(const ParsedArgs& args, std::ostream& out)
     }
     if (requests == 0)
         throw std::invalid_argument("--requests must be >= 1");
-    const std::string policy = args.get("policy", "all");
-    if (policy != "all")
-        serve::parseRoutePolicy(policy); // fail fast on typos
 
     traces::TraceConfig tc = traces::TraceConfig::forModel(
         cfg_model, parseHotness(args.get("hotness", "medium")), seed);
@@ -705,69 +741,58 @@ cmdRouter(const ParsedArgs& args, std::ostream& out)
     for (std::size_t b = 0; b < 16; ++b)
         batches.push_back(gen.batch(b));
 
-    const auto store = core::EmbeddingStore::create(cfg_model, seed);
     core::Tensor dense(tc.batchSize, cfg_model.denseDim());
     dense.randomize(seed + 1);
-    const auto arrivals =
-        serve::PoissonLoadGen(arrival_ms, seed).arrivals(requests);
+    const std::vector<serve::TenantWorkload> work{
+        {dense, batches,
+         serve::PoissonLoadGen(arrival_ms, seed).arrivals(requests)}};
     const auto topo = sched::Topology::synthetic(cores, 2);
+    const auto reg = singleTenant(cfg_model, args);
 
-    out << cfg_model.name << " scaled to "
-        << store->bytes() / (1u << 20)
-        << " MB embeddings (one shared store), " << cores
-        << " core(s), SLA " << rcfg.server.slaMs << " ms, mean "
-        << "interarrival " << arrival_ms << " ms, " << requests
-        << " requests\n";
-
-    // Optional straggler instance for exercising health routing.
+    // Optional straggler instance: a fault phase from t=0 slowing
+    // local core 0 of the afflicted instance.
     const int straggler_inst =
         static_cast<int>(args.getInt("straggler-instance", -1));
-    serve::FaultConfig fc;
-    fc.seed = seed;
-    fc.stragglerCore = 0; // local core 0 of the afflicted instance
-    fc.stragglerFactor = args.getDouble("straggler-factor", 4.0);
-    const serve::FaultInjector straggler(fc);
-    std::vector<const serve::FaultInjector *> faults(instances,
-                                                     nullptr);
+    std::vector<serve::FaultPhase> phases;
     if (straggler_inst >= 0 &&
         straggler_inst < static_cast<int>(instances)) {
-        faults[static_cast<std::size_t>(straggler_inst)] = &straggler;
+        serve::FaultConfig fc;
+        fc.seed = seed;
+        fc.stragglerCore = 0;
+        fc.stragglerFactor = args.getDouble("straggler-factor", 4.0);
+        phases.push_back({0.0, straggler_inst, fc});
+    }
+    const serve::FaultSchedule straggler(std::move(phases), {}, {});
+
+    out << cfg_model.name << " scaled to "
+        << static_cast<std::size_t>(cfg_model.embeddingBytes()) /
+               (1u << 20)
+        << " MB embeddings (one shared store), " << cores
+        << " core(s), SLA " << reg.tenant(0).slaMs << " ms, mean "
+        << "interarrival " << arrival_ms << " ms, " << requests
+        << " requests\n";
+    if (!straggler.empty()) {
         out << "straggler: instance " << straggler_inst << " x"
-            << fc.stragglerFactor << "\n";
+            << args.getDouble("straggler-factor", 4.0) << "\n";
     }
 
-    const auto report = [&](const std::string& label,
-                            const serve::RouterStats& st) {
+    const auto report = [&](std::size_t n,
+                            const serve::FaultSchedule *schedule) {
+        serve::TenantFleet fleet(reg, topo,
+                                 clusterConfig(args, n, seed));
+        const serve::FleetStats st = fleet.serve(
+            work, core::PrefetchSpec::paperDefault(), schedule);
         char buf[64];
-        std::snprintf(buf, sizeof(buf), "%8.1f req/s | ",
+        std::snprintf(buf, sizeof(buf), "%zu instance%s %8.1f req/s | ",
+                      n, n == 1 ? " " : "s",
                       st.makespanMs > 0.0
                           ? 1000.0 * static_cast<double>(
                                 st.total.served) / st.makespanMs
                           : 0.0);
-        out << label << buf << st.summary() << "\n";
+        out << buf << st.summary() << "\n";
     };
-
-    {
-        serve::RouterConfig single = rcfg;
-        single.instances = 1;
-        serve::Router router(cfg_model, store, topo, single);
-        report("1 instance            ", router.serve(dense, batches,
-                                                      arrivals));
-    }
-    for (const auto p :
-         {serve::RoutePolicy::RoundRobin, serve::RoutePolicy::PowerOfTwo,
-          serve::RoutePolicy::HealthAware}) {
-        if (policy != "all" && serve::parseRoutePolicy(policy) != p)
-            continue;
-        serve::RouterConfig multi = rcfg;
-        multi.instances = instances;
-        multi.policy = p;
-        serve::Router router(cfg_model, store, topo, multi, faults);
-        char label[48];
-        std::snprintf(label, sizeof(label), "%zu instances %-7s ",
-                      instances, serve::routePolicyName(p));
-        report(label, router.serve(dense, batches, arrivals));
-    }
+    report(1, nullptr);
+    report(instances, &straggler);
     return 0;
 }
 
@@ -776,16 +801,9 @@ cmdBatch(const ParsedArgs& args, std::ostream& out)
 {
     // Unbatched vs. deadline-aware coalescing over the *same*
     // arrival stream, service model, and virtual clock, so the only
-    // variable is the batching policy. ParsedArgs ignores unknown
-    // options, so the removed streamed flags fail loudly instead of
-    // quietly printing a different table.
-    for (const char *gone : {"streamed", "gather-fraction"}) {
-        if (args.has(gone)) {
-            throw std::invalid_argument(
-                std::string("--") + gone +
-                " was removed with the streamed serving mode");
-        }
-    }
+    // variable is the batching policy.
+    rejectRemoved(args, {"streamed", "gather-fraction"},
+                  "the streamed serving mode");
     const auto base = core::modelByName(args.get("model", "rm2_1"));
     const double max_bytes =
         args.getDouble("max-bytes", 64.0 * (1u << 20));
@@ -1006,30 +1024,18 @@ int
 cmdChaos(const ParsedArgs& args, std::ostream& out)
 {
     // Replays scripted fault timelines (instance crashes, corruption
-    // bursts, flapping stragglers) against the routed cluster, twice
-    // per scenario over the same arrival stream: once with every
-    // resilience feature off (baseline) and once with circuit
-    // breakers, hedged failover, and integrity repair on. Each run
-    // gets a fresh store so corruption never leaks across runs.
+    // bursts, flapping stragglers) against a single-tenant fleet,
+    // twice per scenario over the same arrival stream: with block
+    // verification off and on. Each run builds a fresh fleet, and so
+    // a fresh store, so corruption never leaks across runs.
+    rejectRemoved(args, {"policy", "failovers"},
+                  "the Router's routing policies and failover");
     const auto base = core::modelByName(args.get("model", "rm2_1"));
     const double max_bytes =
         args.getDouble("max-bytes", 64.0 * (1u << 20));
     const auto cfg_model = base.scaledToFit(max_bytes);
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
-
-    serve::RouterConfig rcfg;
-    rcfg.server.slaMs = args.getDouble("sla", 25.0);
-    rcfg.server.service = serve::ServiceModel::constant(
-        args.getDouble("service-ms", 1.0));
-    rcfg.server.admission = !args.has("no-admission");
-    rcfg.server.maxRetries =
-        static_cast<std::size_t>(args.getInt("retries", 2));
-    rcfg.seed = seed;
-    rcfg.maxFailovers =
-        static_cast<std::size_t>(args.getInt("failovers", 1));
-    rcfg.policy = serve::parseRoutePolicy(args.get("policy", "rr"));
-    rcfg.probationMs = args.getDouble("probation-ms", 5.0);
 
     const std::size_t cores =
         static_cast<std::size_t>(args.getInt("cores", 4));
@@ -1065,50 +1071,36 @@ cmdChaos(const ParsedArgs& args, std::ostream& out)
 
     core::Tensor dense(tc.batchSize, cfg_model.denseDim());
     dense.randomize(seed + 1);
-    const auto arrivals =
-        serve::PoissonLoadGen(arrival_ms, seed).arrivals(requests);
-    const double session_ms = arrivals.back();
+    const std::vector<serve::TenantWorkload> work{
+        {dense, batches,
+         serve::PoissonLoadGen(arrival_ms, seed).arrivals(requests)}};
+    const double session_ms = work[0].arrivalsMs.back();
     const auto topo = sched::Topology::synthetic(cores, 2);
+    const auto reg = singleTenant(cfg_model, args);
+    serve::FleetConfig fcfg = clusterConfig(args, instances, seed);
+    fcfg.capacity.probationMs = args.getDouble("probation-ms", 5.0);
 
     out << cfg_model.name << " chaos replay: " << instances
         << " instance(s) on " << cores << " core(s), SLA "
-        << rcfg.server.slaMs << " ms, " << requests
+        << reg.tenant(0).slaMs << " ms, " << requests
         << " requests over " << static_cast<long>(session_ms)
         << " virtual ms\n";
 
-    const auto report = [&](const std::string& label,
-                            const serve::RouterStats& st) {
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      "%5.1f%% compliant | ",
-                      st.total.arrived > 0
-                          ? 100.0 * static_cast<double>(st.compliant) /
-                                static_cast<double>(st.total.arrived)
-                          : 0.0);
-        out << label << buf << st.summary() << "\n";
-    };
-
     for (const auto& name : scenarios) {
         out << "-- " << name << " --\n";
-        for (const bool resilient : {false, true}) {
-            // Fresh store per run: the schedule may flip stored bits.
-            auto store =
-                core::EmbeddingStore::createMutable(cfg_model, seed);
-            const auto schedule = serve::FaultSchedule::chaosScenario(
-                name, instances, session_ms, seed);
-            serve::RouterConfig run = rcfg;
-            run.instances = instances;
-            if (resilient) {
-                run.breaker.enabled = true;
-                run.hedging = true;
-                run.integrity.enabled = true;
-                run.integrity.repair = true;
-            }
-            serve::Router router(cfg_model, store, topo, run);
-            report(resilient ? "resilient " : "baseline  ",
-                   router.serve(dense, batches, arrivals,
-                                core::PrefetchSpec::paperDefault(),
-                                &schedule));
+        const auto schedule = serve::FaultSchedule::chaosScenario(
+            name, instances, session_ms, seed);
+        for (const bool verify : {false, true}) {
+            fcfg.verifyBlocks = verify;
+            serve::TenantFleet fleet(reg, topo, fcfg);
+            const serve::FleetStats st = fleet.serve(
+                work, core::PrefetchSpec::paperDefault(), &schedule);
+            char buf[96];
+            std::snprintf(buf, sizeof(buf), "%s %5.1f%% compliant | ",
+                          verify ? "verify on " : "verify off",
+                          100.0 * static_cast<double>(st.compliant) /
+                              static_cast<double>(st.total.arrived));
+            out << buf << st.summary() << "\n";
         }
     }
     return 0;
@@ -1417,14 +1409,14 @@ usage()
            "tiles on this host\n"
            "  serve [options]             fault-tolerant serving "
            "session (real execution)\n"
-           "  router [options]            multi-instance routed "
-           "serving over one shared store\n"
+           "  router [options]            one vs N instances "
+           "serving from one queue and store\n"
            "  batch [options]             unbatched vs deadline-aware "
            "request coalescing\n"
            "  cache [options]             hot-tier hit rates by "
            "hotness class\n"
            "  chaos [options]             replay scripted fault "
-           "timelines with/without resilience\n"
+           "timelines, block verification off/on\n"
            "  tenants [options]           multi-tenant fleet with "
            "weighted-fair queueing\n"
            "  snapshot save|verify|load|roundtrip --file PATH\n"
@@ -1460,8 +1452,7 @@ usage()
            "  --fault-straggler-factor X\n"
            "\n"
            "router options (plus the serve options above):\n"
-           "  --instances N --policy all|rr|po2|health\n"
-           "  --failovers N --straggler-instance N "
+           "  --instances N --straggler-instance N "
            "--straggler-factor X\n"
            "\n"
            "batch options (plus the serve options above):\n"
@@ -1476,7 +1467,8 @@ usage()
            "  cache additionally takes --warm-batches N --batches N "
            "--batch-size N\n"
            "\n"
-           "chaos options (plus the router options above):\n"
+           "chaos options (plus --instances and the serve options "
+           "above):\n"
            "  --scenario all|crash-storm|rolling-corruption|"
            "flapping-straggler\n"
            "  --probation-ms X\n"

@@ -18,14 +18,14 @@
  *                               admission control, retries, optional
  *                               fault injection and degradation
  *                               (--dtype sets the precision floor)
- *   router [options]            multi-instance routed serving over
- *                               one shared embedding store
+ *   router [options]            one vs N instances serving from one
+ *                               queue over one shared embedding store
  *   batch [options]             unbatched vs deadline-aware request
  *                               coalescing on the batched forward
  *                               path (real execution; --dtype sets
  *                               the precision floor)
  *   chaos [options]             scripted fault timelines replayed
- *                               with and without the resilience layer
+ *                               with block verification off and on
  *   tenants [options]           multi-tenant fleet session: weighted-
  *                               fair queueing, per-tenant SLAs and
  *                               budgets, optional elastic capacity
