@@ -84,7 +84,8 @@ InstanceSet::beginWarmRestart(std::size_t i, double now_ms)
     InstanceSlot& s = _slots[i];
     s.state = InstanceState::WarmRestart;
     s.probationEndMs = now_ms + _cfg.probationMs;
-    std::fill(s.freeAt.begin(), s.freeAt.end(), now_ms);
+    // No core takes work before the probation ends.
+    std::fill(s.freeAt.begin(), s.freeAt.end(), s.probationEndMs);
     if (_hooks.restart)
         _hooks.restart(i, now_ms);
 }

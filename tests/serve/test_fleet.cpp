@@ -419,6 +419,31 @@ TEST_F(FleetTest, LosingEveryInstanceForGoodAbandonsTheQueueLoudly)
     EXPECT_EQ(fs.restarts, 0u);
 }
 
+TEST_F(FleetTest, NoDispatchStartsInsideTheProbationWindow)
+{
+    // One instance crashes at 10 ms and recovers at 80 ms with a 5 ms
+    // probation. The request queued while it was down starts at 85 ms,
+    // when the slot is Up again, not at the 80 ms restart.
+    TenantRegistry reg;
+    reg.add(makeTenant("restarted", 4096, 200.0, 1.0));
+    FleetConfig cfg = baseConfig();
+    cfg.instances = 1;
+    cfg.capacity.probationMs = 5.0;
+    TenantFleet fleet(reg, sched::Topology::synthetic(2, 2), cfg);
+
+    FaultSchedule schedule(
+        {}, {{10.0, 0, Kind::Crash}, {80.0, 0, Kind::Recover}}, {});
+    std::vector<TenantWorkload> work;
+    work.push_back(makeWork(reg.tenant(0).model, 5, {0.0, 50.0}));
+    const FleetStats fs = fleet.serve(
+        work, core::PrefetchSpec::paperDefault(), &schedule);
+
+    ASSERT_EQ(fs.total.served, 2u);
+    EXPECT_EQ(fs.restarts, 1u);
+    // Served at start + 1 ms of service.
+    EXPECT_DOUBLE_EQ(fs.total.latency.samples()[1], 85.0 + 1.0 - 50.0);
+}
+
 TEST_F(FleetTest, RecalibrationTracksAScriptedServiceDrift)
 {
     // The seed estimate says 0.5 ms flat; the scripted truth doubles

@@ -101,8 +101,9 @@ TEST(InstanceSetTest, ReplayRestartsACrashedSlotAfterProbation)
     EXPECT_EQ(set[0].state, InstanceState::Up);
     EXPECT_FALSE(set[0].scriptedDown);
     EXPECT_EQ(restarted, std::vector<double>{20.0});
-    // The restarted slot's cores idle from the recovery.
-    EXPECT_DOUBLE_EQ(set[0].freeAt[1], 20.0);
+    // The restarted slot's cores take no work before the probation
+    // ends.
+    EXPECT_DOUBLE_EQ(set[0].freeAt[1], 25.0);
     EXPECT_EQ(set.sessionCrashes(), 1u);
     EXPECT_EQ(set.sessionRestarts(), 1u);
     // Up for [0, 10) and again from the probation end at 25.

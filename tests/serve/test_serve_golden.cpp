@@ -535,12 +535,12 @@ TEST_F(ServeGolden, SingleTenantFleetChaos)
         std::uint64_t digest;
     };
     const std::vector<Case> cases = {
-        {"crash-storm", true, false, 0x4e11f2c30141159eull},
+        {"crash-storm", true, false, 0x4c5fe995141d2a92ull},
         {"rolling-corruption", true, false, 0x9936ac5aa6fbf1f5ull},
         {"flapping-straggler", true, false, 0x71debddb7d2f8e5bull},
         {"", true, false, 0x506e826370dfda7cull},
         {"rolling-corruption", false, false, 0xc8a775387ac29724ull},
-        {"crash-storm", true, true, 0xd463526049d9bc0eull},
+        {"crash-storm", true, true, 0x7dfcd8ce4aab5c4full},
         {"rolling-corruption", true, true, 0x7922eacf3f8c494cull},
     };
     for (const Case& c : cases) {
@@ -621,13 +621,13 @@ TEST_F(ServeGolden, FleetSessions)
     };
     const std::vector<FleetCase> cases = {
         {"static", staticFleet(), "", {}, 0xf3aa1ee5a90a4b74ull},
-        {"static", staticFleet(), "crash-storm", {}, 0x287fc2caf6297656ull},
+        {"static", staticFleet(), "crash-storm", {}, 0x2538030e581d1d4cull},
         {"static+scrub", scrubbed, "rolling-corruption", {}, 0x4c359ab68dda5db5ull},
         {"static", staticFleet(), "flapping-straggler", {}, 0x74d094d54ea327c9ull},
-        {"elastic", elasticFleet(), "", {}, 0x970ddfc8893e5df7ull},
-        {"elastic", elasticFleet(), "crash-storm", {}, 0x80c2f2e4c0ec2a8eull},
+        {"elastic", elasticFleet(), "", {}, 0xa5c9b0fd343fe5c6ull},
+        {"elastic", elasticFleet(), "crash-storm", {}, 0x76dbda5c9d01f339ull},
         {"static+tier", tiered, "rolling-corruption", {}, 0x24ef786ec8b8e9e4ull},
-        {"elastic+reload", reloading, "", push, 0x3d86e2c09b5fda40ull},
+        {"elastic+reload", reloading, "", push, 0x747758ed23cca963ull},
     };
     for (const FleetCase& c : cases) {
         std::string what;
