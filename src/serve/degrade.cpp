@@ -44,49 +44,17 @@ WindowedP95::p95() const
 DegradeState
 DegradationPolicy::stateForTier(int tier)
 {
-    // Precision speedups the ladder assumes when pricing runs off the
-    // single base ServiceModel: bf16 bags halve the dominant
-    // embedding-bandwidth term, int8 also accelerates the MLPs.
-    constexpr double kBf16Speedup = 0.85;
-    constexpr double kInt8Speedup = 0.75;
-
     DegradeState s;
-    s.tier = tier;
-    switch (tier) {
-      case 0:
-        break;
-      case 1: // precision drops before any work is shed
+    s.tier = std::clamp(tier, 0, maxTier());
+    // Precision drops before any work is shed.
+    if (s.tier >= 1)
         s.dtype = core::EmbDtype::Bf16;
-        s.knobFactor = 1.0;
-        break;
-      case 2:
+    if (s.tier >= 2)
         s.dtype = core::EmbDtype::Int8;
-        s.knobFactor = 1.0;
-        break;
-      case 3:
-        s.dtype = core::EmbDtype::Int8;
+    if (s.tier >= 3)
         s.batchFraction = 0.5;
-        s.knobFactor = 0.60;
-        break;
-      case 4:
-        s.dtype = core::EmbDtype::Int8;
-        s.batchFraction = 0.5;
+    if (s.tier >= 4)
         s.prefetchEnabled = false;
-        s.knobFactor = 0.55;
-        break;
-      default: // tier 5 and anything beyond
-        s.tier = 5;
-        s.dtype = core::EmbDtype::Int8;
-        s.batchFraction = 0.5;
-        s.prefetchEnabled = false;
-        s.knobFactor = 0.50;
-        break;
-    }
-    const double dtype_speedup =
-        s.dtype == core::EmbDtype::Bf16   ? kBf16Speedup
-        : s.dtype == core::EmbDtype::Int8 ? kInt8Speedup
-                                          : 1.0;
-    s.serviceFactor = s.knobFactor * dtype_speedup;
     return s;
 }
 

@@ -6,18 +6,19 @@
  * a ladder of degradation tiers when the tail approaches the SLA.
  * Precision drops before work does: quantized tiers serve *every*
  * admitted sample at reduced precision (bounded accuracy loss) before
- * any tier starts shrinking batches or shedding requests outright:
+ * any tier starts coalescing less or shedding requests outright:
  *
  *   tier 0  fp32, full batch, prefetching on
  *   tier 1  bf16 embedding bags (half the bag bandwidth; MLPs fp32)
  *   tier 2  int8 embedding bags + u8·s8 MLP engine
- *   tier 3  + batch shrunk to half (sheds work per request)
+ *   tier 3  + coalescing cap shrunk to half
  *   tier 4  + software-prefetch autotuning disabled (fixed kernel, no
  *             tuning overhead or mistuned-prefetch cache pollution)
- *   tier 5  executes exactly like tier 4; it differs only in the
- *             unbatched price factor (knobFactor 0.50 vs 0.55), which
- *             only the per-request virtual clock of an unbatched
- *             Server session applies
+ *
+ * A tier changes only what executes. It carries no price factor: the
+ * serving loop prices every dispatch with the service estimate of the
+ * samples it really runs, so a tier is cheaper on the virtual clock
+ * only through fewer samples per dispatch.
  *
  * Escalation happens when the window p95 exceeds the high-water
  * fraction of the SLA; de-escalation when it stays below the
@@ -65,7 +66,7 @@ class WindowedP95
 struct DegradeState
 {
     int tier = 0;
-    double batchFraction = 1.0; //!< fraction of samples actually run
+    double batchFraction = 1.0; //!< fraction of the coalescing cap kept
     bool prefetchEnabled = true;
 
     /**
@@ -75,23 +76,6 @@ struct DegradeState
      * Int8, the u8·s8 packed MLP engine.
      */
     core::EmbDtype dtype = core::EmbDtype::Fp32;
-
-    /**
-     * Virtual-clock service-time multiplier relative to tier 0, used
-     * by the deterministic admission/latency accounting when pricing
-     * runs off the single base ServiceModel. All-in: it folds the
-     * precision speedup *and* the batch/knob claw-backs together.
-     */
-    double serviceFactor = 1.0;
-
-    /**
-     * The non-precision residual of serviceFactor (batch shrink,
-     * prefetch). serviceFactor == knobFactor * the dtype
-     * speedup, so pricing that swaps in a measured per-dtype
-     * ServiceModel (ServerConfig::dtypeServiceEnabled) multiplies by
-     * knobFactor alone and never double-counts the precision win.
-     */
-    double knobFactor = 1.0;
 };
 
 /** Degradation thresholds. */
@@ -124,7 +108,7 @@ class DegradationPolicy
     /** Knobs for an explicit tier in [0, maxTier()]. */
     static DegradeState stateForTier(int tier);
 
-    static int maxTier() { return 5; }
+    static int maxTier() { return 4; }
 
     std::size_t escalations() const { return _escalations; }
 

@@ -31,10 +31,6 @@ Server::Server(const core::DlrmModel& model,
     if (!(cfg.slaMs > 0.0) || !std::isfinite(cfg.slaMs))
         throw std::invalid_argument("Server: SLA must be positive");
     cfg.service.validate();
-    if (cfg.dtypeServiceEnabled) {
-        cfg.serviceBf16.validate();
-        cfg.serviceInt8.validate();
-    }
     cfg.batching.validate();
     if (cfg.backoffBaseMs < 0.0 ||
         cfg.backoffCapMs < cfg.backoffBaseMs) {
@@ -124,15 +120,11 @@ Server::serve(const core::Tensor& dense,
     const std::size_t cores = _pool.numCores();
     const std::size_t rows = _model.config().rows;
 
-    // The two modes differ only in these per-session rules:
-    //  - batching off is a coalescing cap of 1; the tier's
-    //    batchFraction truncates each request instead of shrinking
-    //    the cap, and its price carries tierServiceFactor;
-    //  - batched sessions price a group at the tier's precision with
-    //    no tier factor.
-    const bool batching = _cfg.batching.enabled;
+    // Batching off is a coalescing cap of 1; every dispatch is priced
+    // at the service estimate of its samples times the straggler
+    // factor, whatever the tier.
     const std::size_t max_requests =
-        batching ? _cfg.batching.maxRequests : 1;
+        _cfg.batching.enabled ? _cfg.batching.maxRequests : 1;
 
     DegradationPolicy policy(_cfg.degrade, _cfg.slaMs);
 
@@ -192,36 +184,24 @@ Server::serve(const core::Tensor& dense,
             _fault ? _fault->serviceFactor(core) : 1.0;
 
         // Degradation shrinks how much we coalesce before anything
-        // is shed: less batching trims the service estimate, which
-        // keeps marginal requests admissible. Quantized tiers price
-        // with their own service model when dtype pricing is enabled.
+        // is shed: smaller groups trim the service estimate, which
+        // keeps marginal requests admissible.
         const std::size_t cap = std::max<std::size_t>(
             1, static_cast<std::size_t>(std::floor(
                    tier.batchFraction *
                    static_cast<double>(max_requests))));
-        const ServiceModel& tier_service = _cfg.serviceModelFor(dtype);
-        queue.nextBatch(free_at[core], cap, _cfg.slaMs, tier_service,
+        queue.nextBatch(free_at[core], cap, _cfg.slaMs, _cfg.service,
                         straggle, members);
 
-        // Samples each member really runs: batching off truncates a
-        // request to the tier's batchFraction.
-        const double keep = batching ? 1.0 : tier.batchFraction;
-        const auto samplesOf = [keep](const PendingRequest& m) {
-            return std::max<std::size_t>(
-                1, static_cast<std::size_t>(std::floor(
-                       keep * static_cast<double>(m.samples))));
-        };
         double latest_ready = members.front().readyMs;
         std::size_t total_samples = 0;
         for (const auto& m : members) {
             latest_ready = std::max(latest_ready, m.readyMs);
-            total_samples += samplesOf(m);
+            total_samples += m.samples;
         }
 
-        const double factor =
-            batching ? 1.0 : _cfg.tierServiceFactor(tier);
         const double service_ms =
-            tier_service.serviceMs(total_samples) * factor * straggle;
+            _cfg.service.serviceMs(total_samples) * straggle;
         const double end =
             std::max(free_at[core], latest_ready) + service_ms;
 
@@ -248,7 +228,7 @@ Server::serve(const core::Tensor& dense,
         member_sizes.clear();
         member_ok.assign(members.size(), 1);
         owned.clear();
-        owned.reserve(2 * members.size()); // pointers stay stable
+        owned.reserve(members.size()); // pointers stay stable
         for (std::size_t i = 0; i < members.size(); ++i) {
             const auto& m = members[i];
             if (_fault && !lone) {
@@ -259,13 +239,9 @@ Server::serve(const core::Tensor& dense,
                     continue;
                 }
             }
-            const std::size_t n = samplesOf(m);
+            const std::size_t n = m.samples;
             const core::SparseBatch *sparse =
                 &batches[m.req % batches.size()];
-            if (n < sparse->batchSize) {
-                owned.push_back(sparse->truncated(n));
-                sparse = &owned.back();
-            }
             if (_fault) {
                 owned.push_back(
                     _fault->maybeCorrupt(*sparse, rows, m.req, m.tries));

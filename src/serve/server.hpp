@@ -98,46 +98,6 @@ struct ServerConfig
     ServiceModel service = ServiceModel::constant(1.0);
 
     /**
-     * Per-precision service estimates for the quantized degradation
-     * tiers. Off by default (dtypeServiceEnabled = false): pricing
-     * then uses `service` scaled by the tier's all-in serviceFactor,
-     * which already folds in the ladder's assumed precision speedups.
-     * When enabled, a quantized tier prices with its own measured
-     * model (serviceBf16 / serviceInt8) times only the tier's
-     * knobFactor — the precision win comes from the model, so it is
-     * never double-counted.
-     */
-    bool dtypeServiceEnabled = false;
-    ServiceModel serviceBf16 = ServiceModel::constant(1.0);
-    ServiceModel serviceInt8 = ServiceModel::constant(1.0);
-
-    /** Service model pricing a tier's precision (see above). */
-    const ServiceModel&
-    serviceModelFor(core::EmbDtype dtype) const
-    {
-        if (!dtypeServiceEnabled)
-            return service;
-        switch (dtype) {
-          case core::EmbDtype::Bf16:
-            return serviceBf16;
-          case core::EmbDtype::Int8:
-            return serviceInt8;
-          default:
-            return service;
-        }
-    }
-
-    /** Virtual-clock multiplier applied on top of the tier's service
-     *  model: all-in when dtype pricing is off, knobs-only when the
-     *  per-dtype model already carries the precision win. */
-    double
-    tierServiceFactor(const DegradeState& tier) const
-    {
-        return dtypeServiceEnabled ? tier.knobFactor
-                                   : tier.serviceFactor;
-    }
-
-    /**
      * Base serving precision: every dispatch runs at least this
      * reduced a format, and the degradation ladder can only deepen it
      * (fp32 -> bf16 -> int8). Quantized sessions want the matching

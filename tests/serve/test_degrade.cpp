@@ -118,60 +118,40 @@ TEST(DegradationPolicy, TierStatesFormTheDocumentedLadder)
 {
     using dlrmopt::core::EmbDtype;
 
+    EXPECT_EQ(DegradationPolicy::maxTier(), 4);
+
     const auto t0 = DegradationPolicy::stateForTier(0);
     EXPECT_EQ(t0.dtype, EmbDtype::Fp32);
     EXPECT_DOUBLE_EQ(t0.batchFraction, 1.0);
     EXPECT_TRUE(t0.prefetchEnabled);
-    EXPECT_DOUBLE_EQ(t0.serviceFactor, 1.0);
-    EXPECT_DOUBLE_EQ(t0.knobFactor, 1.0);
 
     // Precision drops before any work is shed: tiers 1-2 serve every
-    // admitted sample, just cheaper.
+    // admitted sample at full coalescing.
     const auto t1 = DegradationPolicy::stateForTier(1);
     EXPECT_EQ(t1.dtype, EmbDtype::Bf16);
     EXPECT_DOUBLE_EQ(t1.batchFraction, 1.0);
     EXPECT_TRUE(t1.prefetchEnabled);
-    EXPECT_DOUBLE_EQ(t1.knobFactor, 1.0);
-    EXPECT_LT(t1.serviceFactor, 1.0);
 
     const auto t2 = DegradationPolicy::stateForTier(2);
     EXPECT_EQ(t2.dtype, EmbDtype::Int8);
     EXPECT_DOUBLE_EQ(t2.batchFraction, 1.0);
-    EXPECT_LT(t2.serviceFactor, t1.serviceFactor);
+    EXPECT_TRUE(t2.prefetchEnabled);
 
-    // Only after precision is exhausted does work shrink.
+    // Only after precision is exhausted does coalescing shrink.
     const auto t3 = DegradationPolicy::stateForTier(3);
     EXPECT_EQ(t3.dtype, EmbDtype::Int8);
-    EXPECT_LT(t3.batchFraction, 1.0);
+    EXPECT_DOUBLE_EQ(t3.batchFraction, 0.5);
     EXPECT_TRUE(t3.prefetchEnabled);
 
     const auto t4 = DegradationPolicy::stateForTier(4);
+    EXPECT_EQ(t4.dtype, EmbDtype::Int8);
+    EXPECT_DOUBLE_EQ(t4.batchFraction, 0.5);
     EXPECT_FALSE(t4.prefetchEnabled);
 
-    // Tier 5 executes exactly like tier 4 and only prices cheaper.
-    const auto t5 = DegradationPolicy::stateForTier(5);
-    EXPECT_EQ(t5.dtype, t4.dtype);
-    EXPECT_DOUBLE_EQ(t5.batchFraction, t4.batchFraction);
-    EXPECT_FALSE(t5.prefetchEnabled);
-    EXPECT_DOUBLE_EQ(t5.knobFactor, 0.50);
-    EXPECT_LT(t5.knobFactor, t4.knobFactor);
-
-    // serviceFactor = knobFactor * dtype speedup at every tier (the
-    // invariant that keeps dtype-aware pricing from double-counting).
-    for (int t = 0; t <= DegradationPolicy::maxTier(); ++t) {
-        const auto s = DegradationPolicy::stateForTier(t);
-        EXPECT_LE(s.serviceFactor, s.knobFactor) << "tier " << t;
-        EXPECT_GT(s.serviceFactor, 0.0) << "tier " << t;
-    }
-    // The ladder only ever gets cheaper going down.
-    for (int t = 1; t <= DegradationPolicy::maxTier(); ++t) {
-        EXPECT_LT(DegradationPolicy::stateForTier(t).serviceFactor,
-                  DegradationPolicy::stateForTier(t - 1).serviceFactor)
-            << "tier " << t;
-    }
-
-    // Beyond the ladder clamps to the deepest tier.
-    EXPECT_EQ(DegradationPolicy::stateForTier(7).tier, 5);
+    // Beyond the ladder clamps to the deepest tier, below it to 0.
+    EXPECT_EQ(DegradationPolicy::stateForTier(7).tier, 4);
+    EXPECT_FALSE(DegradationPolicy::stateForTier(7).prefetchEnabled);
+    EXPECT_EQ(DegradationPolicy::stateForTier(-1).tier, 0);
 
     EXPECT_THROW(DegradationPolicy(fastConfig(), 0.0),
                  std::invalid_argument);

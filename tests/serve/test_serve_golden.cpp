@@ -207,9 +207,6 @@ class ServeGolden : public ::testing::Test
         ServerConfig cfg;
         cfg.slaMs = 10.0;
         cfg.service = ServiceModel{0.6, 0.05};
-        cfg.dtypeServiceEnabled = true;
-        cfg.serviceBf16 = ServiceModel{0.5, 0.04};
-        cfg.serviceInt8 = ServiceModel{0.4, 0.03};
         cfg.dtype = dtype;
         cfg.batching.enabled = mode != Mode::Off;
         cfg.batching.maxRequests = 4;
@@ -217,7 +214,7 @@ class ServeGolden : public ::testing::Test
         cfg.maxRetries = 2;
         if (degrade) {
             // Let latency build so the ladder walks every tier:
-            // precision, batch shrink, prefetch off, tier 5.
+            // precision, coalescing cap shrink, prefetch off.
             cfg.admission = false;
             cfg.degrade.enabled = true;
             cfg.degrade.window = 8;
@@ -493,17 +490,17 @@ TEST_F(ServeGolden, ServerBatchingOff)
 {
     checkServer({
         {Mode::Off, false, false, F::Fp32, 2, 0xe6cef740b099cd13ull},
-        {Mode::Off, false, false, F::Bf16, 2, 0x21e41596bf047eeaull},
-        {Mode::Off, false, false, F::Int8, 2, 0x37c0eb3f4c52c5d5ull},
+        {Mode::Off, false, false, F::Bf16, 2, 0x90d45f95b5f46267ull},
+        {Mode::Off, false, false, F::Int8, 2, 0x90d45f95b5f46267ull},
         {Mode::Off, false, true, F::Fp32, 2, 0xce4786f2081f92c0ull},
-        {Mode::Off, false, true, F::Bf16, 2, 0x3f236976e4c15cdcull},
-        {Mode::Off, false, true, F::Int8, 2, 0xa3d69c3ec407293eull},
-        {Mode::Off, true, false, F::Fp32, 2, 0x4d32096304d485ecull},
-        {Mode::Off, true, false, F::Bf16, 2, 0x959815073da6ee79ull},
-        {Mode::Off, true, false, F::Int8, 2, 0x44bc1bacff4f9a3eull},
-        {Mode::Off, true, true, F::Fp32, 2, 0x6e76a2f5bd054ea5ull},
-        {Mode::Off, true, true, F::Bf16, 2, 0xc1ba566d54d5ebdeull},
-        {Mode::Off, true, true, F::Int8, 2, 0x0af0cbec4d7cc09full},
+        {Mode::Off, false, true, F::Bf16, 2, 0x4c987e3b766f92bcull},
+        {Mode::Off, false, true, F::Int8, 2, 0x4c987e3b766f92bcull},
+        {Mode::Off, true, false, F::Fp32, 2, 0x357f366e4acf9a6eull},
+        {Mode::Off, true, false, F::Bf16, 2, 0xed1abacbcc482829ull},
+        {Mode::Off, true, false, F::Int8, 2, 0xed1abacbcc482829ull},
+        {Mode::Off, true, true, F::Fp32, 2, 0x764108f06e923ca4ull},
+        {Mode::Off, true, true, F::Bf16, 2, 0x34deebe799391374ull},
+        {Mode::Off, true, true, F::Int8, 2, 0x34deebe799391374ull},
     });
 }
 
@@ -511,17 +508,17 @@ TEST_F(ServeGolden, ServerBatched)
 {
     checkServer({
         {Mode::Batched, false, false, F::Fp32, 2, 0xea05ed2c77479fb4ull},
-        {Mode::Batched, false, false, F::Bf16, 2, 0x83e98b34e2532f3aull},
-        {Mode::Batched, false, false, F::Int8, 2, 0x8d22bafbf16b92b3ull},
+        {Mode::Batched, false, false, F::Bf16, 2, 0xf9a874c0d74fbeb5ull},
+        {Mode::Batched, false, false, F::Int8, 2, 0xf9a874c0d74fbeb5ull},
         {Mode::Batched, false, true, F::Fp32, 2, 0x937051a66c1d137eull},
-        {Mode::Batched, false, true, F::Bf16, 2, 0xae63a7ee6c70e0b1ull},
-        {Mode::Batched, false, true, F::Int8, 2, 0xcc37345e585e1785ull},
-        {Mode::Batched, true, false, F::Fp32, 2, 0xcfb0f4c36e5a3980ull},
-        {Mode::Batched, true, false, F::Bf16, 2, 0x07b3f167fd0ffa57ull},
-        {Mode::Batched, true, false, F::Int8, 2, 0x977e722cf85c7bdcull},
-        {Mode::Batched, true, true, F::Fp32, 2, 0xcad9295c430275fdull},
-        {Mode::Batched, true, true, F::Bf16, 2, 0xad8beaf81ff1a986ull},
-        {Mode::Batched, true, true, F::Int8, 2, 0x5da2caec1b6b19d1ull},
+        {Mode::Batched, false, true, F::Bf16, 2, 0x103f3dd1bc380d1bull},
+        {Mode::Batched, false, true, F::Int8, 2, 0x103f3dd1bc380d1bull},
+        {Mode::Batched, true, false, F::Fp32, 2, 0x9d727d17244587b9ull},
+        {Mode::Batched, true, false, F::Bf16, 2, 0xa2ead185677cd378ull},
+        {Mode::Batched, true, false, F::Int8, 2, 0xa2ead185677cd378ull},
+        {Mode::Batched, true, true, F::Fp32, 2, 0x4d9ba3d8e972d1e3ull},
+        {Mode::Batched, true, true, F::Bf16, 2, 0xdaa67933923b97eeull},
+        {Mode::Batched, true, true, F::Int8, 2, 0xdaa67933923b97eeull},
     });
 }
 
