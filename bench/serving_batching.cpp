@@ -24,7 +24,7 @@
 #include "core/dlrm.hpp"
 #include "sched/topology.hpp"
 #include "serve/loadgen.hpp"
-#include "serve/server.hpp"
+#include "serve/fleet.hpp"
 #include "trace/generator.hpp"
 
 namespace
@@ -91,21 +91,27 @@ main()
     const auto model_cfg =
         core::modelByName("rm1").scaledToFit(quickMode() ? 2.0e6
                                                          : 16.0e6);
-    core::DlrmModel model(model_cfg, 7);
 
     traces::TraceConfig tc = traces::TraceConfig::forModel(
         model_cfg, traces::Hotness::Medium, 7);
     tc.batchSize = 8;
     traces::TraceGenerator gen(tc);
-    std::vector<core::SparseBatch> batches;
+    serve::TenantWorkload work;
     for (std::size_t b = 0; b < 16; ++b)
-        batches.push_back(gen.batch(b));
-    core::Tensor dense(tc.batchSize, model_cfg.denseDim());
-    dense.randomize(11);
+        work.batches.push_back(gen.batch(b));
+    work.dense = core::Tensor(tc.batchSize, model_cfg.denseDim());
+    work.dense.randomize(11);
 
-    serve::ServerConfig base_cfg;
-    base_cfg.slaMs = 25.0;
-    base_cfg.service = serve::ServiceModel{0.8, 0.04};
+    // The single-server deployment: one tenant on a one-instance
+    // fleet over a 2-core group.
+    serve::TenantConfig tenant;
+    tenant.name = "rm1";
+    tenant.model = model_cfg;
+    tenant.slaMs = 25.0;
+    tenant.service = serve::ServiceModel{0.8, 0.04};
+    tenant.truth = serve::ServiceTimeline(tenant.service);
+    serve::TenantRegistry reg;
+    reg.add(tenant);
     const auto topo = sched::Topology::synthetic(2, 2);
 
     const std::size_t requests = quickMode() ? 150 : 600;
@@ -125,16 +131,17 @@ main()
                 "policy", "req/s", "p50", "p95", "p99", "shed%",
                 "vs.un");
     for (const double arr : interarrivals) {
-        const auto arrivals =
-            serve::PoissonLoadGen(arr, 13).arrivals(requests);
+        work.arrivalsMs = serve::PoissonLoadGen(arr, 13).arrivals(requests);
         double unbatched_rate = 0.0;
         for (const Policy& p : policies) {
-            serve::ServerConfig cfg = base_cfg;
+            serve::FleetConfig cfg;
+            cfg.instances = 1;
             cfg.batching.enabled = p.enabled;
             cfg.batching.maxRequests = p.maxRequests;
             cfg.batching.maxLingerMs = p.lingerMs;
-            serve::Server srv(model, topo, cfg);
-            const auto st = srv.serve(dense, batches, arrivals);
+            cfg.seed = 7;
+            serve::TenantFleet fleet(reg, topo, cfg);
+            const serve::ServeStats st = fleet.serve({work}).total;
             const double rate =
                 st.makespanMs > 0.0
                     ? 1000.0 * static_cast<double>(st.served) /

@@ -75,6 +75,7 @@ fleetConfig(std::size_t instances)
 {
     serve::FleetConfig cfg;
     cfg.instances = instances;
+    cfg.batching.enabled = true;
     cfg.batching.maxRequests = 4;
     cfg.batching.maxLingerMs = 0.2;
     cfg.recalibration.enabled = true;

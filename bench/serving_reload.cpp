@@ -92,6 +92,7 @@ fleetConfig()
 {
     serve::FleetConfig cfg;
     cfg.instances = 3;
+    cfg.batching.enabled = true;
     cfg.batching.maxRequests = 4;
     cfg.batching.maxLingerMs = 0.2;
     cfg.reload.loadMs = 5.0;

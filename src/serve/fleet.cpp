@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <queue>
 #include <stdexcept>
 
@@ -35,6 +36,42 @@ struct FArrivalLater
             return a.tMs > b.tMs;
         return a.seq > b.seq;
     }
+};
+
+/** Capped exponential retry backoff: @p base_ms * 2^@p tries, at most
+ *  @p cap_ms. */
+double
+retryBackoffMs(double base_ms, double cap_ms, std::uint64_t tries)
+{
+    return std::min(base_ms * static_cast<double>(1ull << tries), cap_ms);
+}
+
+/**
+ * Row prefixes of one dense-feature tensor: rows(n) is its first n
+ * rows, built on first use and reference-stable for the cache's
+ * lifetime, so a dispatch can point at it while a pool task runs.
+ */
+class DensePrefixes
+{
+  public:
+    explicit DensePrefixes(const core::Tensor& dense) : _dense(&dense) {}
+
+    const core::Tensor&
+    rows(std::size_t n)
+    {
+        auto it = _byRows.find(n);
+        if (it == _byRows.end()) {
+            core::Tensor t(n, _dense->cols());
+            std::memcpy(t.data(), _dense->data(),
+                        n * _dense->cols() * sizeof(float));
+            it = _byRows.emplace(n, std::move(t)).first;
+        }
+        return it->second;
+    }
+
+  private:
+    const core::Tensor *_dense;
+    std::map<std::size_t, core::Tensor> _byRows;
 };
 
 /**
@@ -206,9 +243,15 @@ TenantFleet::TenantFleet(const TenantRegistry& reg,
     const std::size_t n_t = _reg.size();
 
     _stores.reserve(n_t);
+    _quantStores.resize(n_t);
     for (std::size_t k = 0; k < n_t; ++k) {
+        const TenantConfig& tc = _reg.tenant(k);
         _stores.push_back(core::EmbeddingStore::createMutable(
-            _reg.tenant(k).model, _cfg.seed + k));
+            tc.model, _cfg.seed + k));
+        if (tc.dtype != core::EmbDtype::Fp32) {
+            _quantStores[k] = core::EmbeddingStore::create(
+                tc.model, _cfg.seed + k, 256, tc.dtype);
+        }
     }
 
     _models.resize(_cfg.instances);
@@ -218,16 +261,9 @@ TenantFleet::TenantFleet(const TenantRegistry& reg,
         _servers[i].reserve(n_t);
         for (std::size_t k = 0; k < n_t; ++k) {
             const TenantConfig& tc = _reg.tenant(k);
-            _models[i].push_back(std::make_unique<core::DlrmModel>(
-                tc.model, _stores[k], _cfg.seed));
+            _models[i].push_back(replica(k));
             ServerConfig sc;
-            sc.slaMs = tc.effectiveSlaMs();
-            sc.service = tc.service;
-            sc.batching = _cfg.batching;
-            sc.admission = _cfg.admission;
-            sc.maxRetries = _cfg.maxRetries;
-            sc.backoffBaseMs = _cfg.backoffBaseMs;
-            sc.backoffCapMs = _cfg.backoffCapMs;
+            sc.dtype = tc.dtype;
             _servers[i].push_back(std::make_unique<Server>(
                 *_models[i].back(), groups[i], sc));
         }
@@ -244,7 +280,8 @@ TenantFleet::TenantFleet(const TenantRegistry& reg,
             _tiers[i].reserve(n_t);
             for (std::size_t k = 0; k < n_t; ++k) {
                 auto tier = std::make_shared<core::HotTierCache>(
-                    _stores[k], _cfg.hotTier);
+                    _models[i][k]->sharedStoreFor(_reg.tenant(k).dtype),
+                    _cfg.hotTier);
                 _servers[i][k]->attachHotTier(tier);
                 _tiers[i].push_back(std::move(tier));
             }
@@ -258,12 +295,43 @@ TenantFleet::TenantFleet(const TenantRegistry& reg,
     _versioned.reserve(n_t);
     for (std::size_t k = 0; k < n_t; ++k) {
         const TenantConfig& tc = _reg.tenant(k);
-        auto view = std::make_shared<const core::DlrmModel>(
-            tc.model, _stores[k], _cfg.seed);
         _versioned.push_back(std::make_unique<core::VersionedModel>(
             core::ModelVersion::adopt(tc.model, 1, _cfg.seed,
-                                      _stores[k], std::move(view))));
+                                      _stores[k], replica(k))));
     }
+}
+
+std::unique_ptr<core::DlrmModel>
+TenantFleet::replica(std::size_t k) const
+{
+    auto m = std::make_unique<core::DlrmModel>(_reg.tenant(k).model,
+                                               _stores[k], _cfg.seed);
+    if (_quantStores[k])
+        m->attachQuantizedStore(_quantStores[k]);
+    return m;
+}
+
+ServeStats
+Server::serve(const core::Tensor& dense,
+              const std::vector<core::SparseBatch>& batches,
+              const std::vector<double>& arrivals_ms,
+              const core::PrefetchSpec& pf)
+{
+    TenantConfig tc;
+    tc.name = "server";
+    tc.model = _model.config();
+    tc.slaMs = _cfg.slaMs;
+    tc.service = _cfg.service;
+    tc.truth = ServiceTimeline(_cfg.service);
+    tc.dtype = _cfg.dtype;
+    TenantRegistry reg;
+    reg.add(tc);
+    FleetConfig fc;
+    fc.instances = 1;
+    fc.batching = _cfg.batching;
+    fc.admission = _cfg.admission;
+    TenantFleet fleet(reg, sched::Topology::synthetic(numCores(), 1), fc);
+    return fleet.serve({{dense, batches, arrivals_ms}}, pf).total;
 }
 
 FleetStats
@@ -294,6 +362,24 @@ TenantFleet::serve(const std::vector<TenantWorkload>& work,
     }
     if (schedule)
         schedule->validate(n_i);
+    // Reload, scrubbing, block verification and stored-bit flips all
+    // act on a version's fp32 store; a quantized floor never reads it.
+    for (std::size_t k = 0; k < n_t; ++k) {
+        const TenantConfig& tc = _reg.tenant(k);
+        if (tc.dtype == core::EmbDtype::Fp32)
+            continue;
+        const bool reloaded =
+            std::any_of(reloads.begin(), reloads.end(),
+                        [k](const ReloadEvent& e) { return e.tenant == k; });
+        if (reloaded || _cfg.scrub.enabled || _cfg.verifyBlocks ||
+            (schedule && schedule->corruptsStore())) {
+            throw std::invalid_argument(
+                "TenantFleet: tenant " + tc.name + " serves a " +
+                core::embDtypeName(tc.dtype) +
+                " floor; reload, scrubbing, block verification and "
+                "stored-bit flips need an fp32 tenant");
+        }
+    }
 
     FleetStats fs;
     fs.perTenant.resize(n_t);
@@ -365,8 +451,12 @@ TenantFleet::serve(const std::vector<TenantWorkload>& work,
     std::priority_queue<Pin, std::vector<Pin>, decltype(pinLater)>
         inflight(pinLater);
 
+    // Deficit round robin arbitrates between tenants; a lone tenant
+    // has nothing to share with, so its groups are bounded only by
+    // the cap, linger and deadlines.
     WfqConfig wfq;
-    wfq.weights = _reg.weights();
+    if (n_t > 1)
+        wfq.weights = _reg.weights();
     wfq.quantumSamples = _cfg.quantumSamples;
     BatchQueue queue(_cfg.batching, wfq);
 
@@ -384,17 +474,18 @@ TenantFleet::serve(const std::vector<TenantWorkload>& work,
         // O(weights) per tenant: fresh MLP views over the untouched
         // shared stores — the restarted replicas are bitwise-
         // identical to their pre-crash selves.
-        for (std::size_t k = 0; k < n_t; ++k) {
-            *_models[i][k] = core::DlrmModel(_reg.tenant(k).model,
-                                             _stores[k], _cfg.seed);
-        }
+        for (std::size_t k = 0; k < n_t; ++k)
+            *_models[i][k] = std::move(*replica(k));
         // Re-pin the replica's hot tiers against the committed
         // version of record: the hot set survives the restart, its
         // bytes re-copied (and checksums rebuilt) from the store the
         // replica will actually serve.
         if (!_tiers.empty()) {
-            for (std::size_t k = 0; k < n_t; ++k)
-                _tiers[i][k]->retarget(_versioned[k]->current()->store);
+            for (std::size_t k = 0; k < n_t; ++k) {
+                _tiers[i][k]->retarget(
+                    _quantStores[k] ? _quantStores[k]
+                                    : _versioned[k]->current()->store);
+            }
         }
         // The replica comes back on the committed version of record;
         // an active rollout re-reconciles it at commit/rollback.
@@ -587,7 +678,10 @@ TenantFleet::serve(const std::vector<TenantWorkload>& work,
         degrade.emplace_back(_reg.tenant(k).degrade,
                              _reg.tenant(k).effectiveSlaMs());
     }
-    std::vector<std::size_t> caps(n_t, _cfg.batching.maxRequests);
+    // Batching off is a coalescing cap of 1.
+    const std::size_t max_requests =
+        _cfg.batching.enabled ? _cfg.batching.maxRequests : 1;
+    std::vector<std::size_t> caps(n_t, max_requests);
 
     const double linger = _cfg.batching.maxLingerMs;
     const double inf = std::numeric_limits<double>::max();
@@ -692,8 +786,7 @@ TenantFleet::serve(const std::vector<TenantWorkload>& work,
             caps[k] = std::max<std::size_t>(
                 1, static_cast<std::size_t>(std::floor(
                        degrade[k].state().batchFraction *
-                       static_cast<double>(
-                           _cfg.batching.maxRequests))));
+                       static_cast<double>(max_requests))));
         }
         queue.nextBatch(life[inst].freeAt[core], caps, 0.0, estimates,
                         straggle, members);
@@ -806,7 +899,8 @@ TenantFleet::serve(const std::vector<TenantWorkload>& work,
 
         ++fs.total.dispatches;
         ++ts.stats.dispatches;
-        if (tier.dtype != core::EmbDtype::Fp32) {
+        if (_servers[inst][ten]->config().effectiveDtype(tier) !=
+            core::EmbDtype::Fp32) {
             ++fs.total.quantDispatches;
             ++ts.stats.quantDispatches;
         }
@@ -916,6 +1010,9 @@ TenantFleet::serve(const std::vector<TenantWorkload>& work,
         fs.perTenant[k].stats.degradeEscalations =
             degrade[k].escalations();
         fs.perTenant[k].stats.finalTier = degrade[k].tier();
+        fs.total.degradeEscalations += degrade[k].escalations();
+        fs.total.finalTier =
+            std::max(fs.total.finalTier, degrade[k].tier());
     }
     fs.reloadsStarted = reload.started();
     fs.reloadsCommitted = reload.committed();

@@ -101,9 +101,10 @@ struct FleetConfig
      *  moves the Up set within [capacity.minInstances, instances]. */
     std::size_t instances = 2;
 
-    /** Request coalescing knobs shared by every tenant's dispatches
-     *  (enable it: single-request dispatches waste the fixed cost the
-     *  batch-size-aware model exists to amortize). */
+    /** Request coalescing knobs shared by every tenant's dispatches.
+     *  Disabled (the default) is a coalescing cap of 1; enable it to
+     *  amortize the fixed per-dispatch cost the batch-size-aware
+     *  model prices. */
     BatchConfig batching;
 
     /** Deficit-round-robin quantum (samples per unit weight per
@@ -342,10 +343,15 @@ class TenantFleet
                      const std::vector<ReloadEvent>& reloads = {});
 
   private:
+    /** A fresh replica view of tenant @p k over its shared stores. */
+    std::unique_ptr<core::DlrmModel> replica(std::size_t k) const;
+
     TenantRegistry _reg;
     FleetConfig _cfg;
     std::size_t _coresPerInstance = 0;
     std::vector<std::shared_ptr<core::EmbeddingStore>> _stores;
+    /** Per-tenant precision-floor stores (null for an fp32 floor). */
+    std::vector<std::shared_ptr<const core::EmbeddingStore>> _quantStores;
     /** [instance][tenant] replica views / execution engines. */
     std::vector<std::vector<std::unique_ptr<core::DlrmModel>>> _models;
     std::vector<std::vector<std::unique_ptr<Server>>> _servers;

@@ -1,54 +1,26 @@
 /**
  * @file
- * Fault-tolerant request server: the real serving loop the paper's
- * Sec. 6.5 evaluation implies but the queue simulator only models.
+ * One serving instance's execution engine: a private core pool and a
+ * persistent core::ForwardWorkspace behind executeBatchedAttempt.
  *
- * Each request is one inference batch drawn from a Poisson arrival
- * stream. One event loop, driven by a BatchQueue, serves every mode;
- * the modes differ only in per-session rules. The server:
+ * Every dispatch runs as *real* DLRM inference: the group's members
+ * are coalesced into the workspace on the calling thread and one fused
+ * forward runs on the pool, allocation-free in the steady state and
+ * bitwise-identical to per-request execution. Quantized dispatches run
+ * the fused-dequant bags over the model's attached quantized store,
+ * and an attached hot tier is probed before the cold store.
  *
- *  - enforces per-request deadlines with admission control: a request
- *    whose projected completion already blows the SLA is shed on
- *    arrival (load shedding, counted in ServeStats::shed);
- *  - optionally coalesces queued requests into larger dispatches
- *    (ServerConfig::batching + serve/batch_queue.hpp), bounded by the
- *    tightest member deadline, amortizing the per-dispatch fixed cost
- *    captured by the batch-size-aware ServiceModel; with batching off
- *    the coalescing cap is 1 and every request dispatches alone;
- *  - executes every dispatch as *real* DLRM inference through one
- *    persistent core::ForwardWorkspace on an exception-safe
- *    HtThreadPool — one fused forward per dispatch, allocation-free
- *    in the steady state and bitwise-identical to per-request
- *    execution;
- *  - retries transiently failed requests with capped exponential
- *    backoff, giving up after maxRetries (counted in failed);
- *  - degrades gracefully under tail-latency pressure via
- *    DegradationPolicy (drop precision fp32 -> bf16 -> int8, then
- *    shrink batch -> disable prefetch): quantized
- *    tiers run the fused-dequant bags and u8·s8 MLP engine, trading
- *    bounded accuracy for bandwidth before any request is shed;
- *  - tolerates injected faults (serve/fault.hpp): task exceptions,
- *    allocation failures, poisoned embedding indices, and straggler
- *    cores never crash the process — they surface as retries/failures
- *    in the stats.
- *
- * Time accounting is *virtual*: queue waits, deadlines, and reported
- * latencies advance on a deterministic simulated clock derived from
- * the arrival stream and the configured per-batch service time, while
- * the kernels themselves really execute (their measured wall time is
- * reported separately as ServeStats::execTotalMs). This split is what
- * makes serving sessions bit-reproducible under a fixed seed — the
- * property the fault-tolerance tests and the shedding-aware queue
- * simulator comparisons rely on — without giving up real execution.
+ * The serving event loop — arrivals, admission, coalescing, retry,
+ * fault resolution and degradation on a virtual clock — is
+ * TenantFleet::serve (serve/fleet.hpp). The single-server deployment
+ * is a one-instance, single-tenant fleet.
  */
 
 #ifndef DLRMOPT_SERVE_SERVER_HPP
 #define DLRMOPT_SERVE_SERVER_HPP
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <map>
+#include <memory>
 #include <vector>
 
 #include "core/batching.hpp"
@@ -56,45 +28,25 @@
 #include "sched/ht_thread_pool.hpp"
 #include "serve/batch_queue.hpp"
 #include "serve/degrade.hpp"
-#include "serve/fault.hpp"
+#include "serve/service_model.hpp"
 #include "serve/serve_stats.hpp"
 
 namespace dlrmopt::serve
 {
 
-/** Capped exponential retry backoff: @p base_ms * 2^@p tries, at most
- *  @p cap_ms. */
-inline double
-retryBackoffMs(double base_ms, double cap_ms, std::uint64_t tries)
-{
-    return std::min(base_ms * static_cast<double>(1ull << tries), cap_ms);
-}
-
 /**
- * Row prefixes of one dense-feature tensor: rows(n) is its first n
- * rows, built on first use and reference-stable for the cache's
- * lifetime, so a dispatch can point at it while a pool task runs.
+ * Execution and session parameters of one Server. Only dtype and pin
+ * shape execution. slaMs, service, batching and admission configure
+ * nothing but Server::serve, which stays for the real-clock benchmark
+ * (perfbench/serving_bench.cpp) that is frozen with BENCHMARK.json;
+ * they go with it in the next change to that benchmark.
  */
-class DensePrefixes
-{
-  public:
-    explicit DensePrefixes(const core::Tensor& dense) : _dense(&dense) {}
-
-    const core::Tensor& rows(std::size_t n);
-
-  private:
-    const core::Tensor *_dense;
-    std::map<std::size_t, core::Tensor> _byRows;
-};
-
-/** Serving-session parameters. */
 struct ServerConfig
 {
-    double slaMs = 100.0;    //!< per-request deadline
+    double slaMs = 100.0;    //!< per-request deadline (serve() only)
 
-    /** Batch-size-aware tier-0 service estimate driving the virtual
-     *  clock; ServiceModel::constant() reproduces the legacy scalar
-     *  per-batch behaviour exactly. */
+    /** Batch-size-aware service estimate driving serve()'s virtual
+     *  clock. */
     ServiceModel service = ServiceModel::constant(1.0);
 
     /**
@@ -117,28 +69,20 @@ struct ServerConfig
                    : dtype;
     }
 
-    /** Dynamic request coalescing (serve/batch_queue.hpp). Disabled
-     *  by default: a coalescing cap of 1, every request dispatching
-     *  alone. */
+    /** serve()'s request coalescing; disabled means a coalescing cap
+     *  of 1. */
     BatchConfig batching;
 
-    bool admission = true;   //!< shed on projected deadline miss
-
-    std::size_t maxRetries = 2;   //!< retry budget per request
-    double backoffBaseMs = 1.0;   //!< first retry delay
-    double backoffCapMs = 8.0;    //!< exponential backoff ceiling
-
-    DegradeConfig degrade;   //!< graceful-degradation thresholds
+    bool admission = true;   //!< serve(): shed on projected deadline miss
 
     bool pin = false;        //!< pin pool workers to CPUs
 };
 
 /**
- * One serving instance: the execution engine the cluster layers
- * dispatch into (a private core pool and a persistent forward
- * workspace) and a fault-tolerant serving loop over it. The pool is
- * built once per Server and reused across serve() sessions. A
- * cluster's instance lifecycle lives in its InstanceSet
+ * One serving instance: the execution engine the fleet dispatches
+ * into (a private core pool and a persistent forward workspace). The
+ * pool is built once per Server and reused for every dispatch. A
+ * fleet's instance lifecycle lives in its InstanceSet
  * (serve/instance_set.hpp), not here.
  */
 class Server
@@ -146,44 +90,29 @@ class Server
   public:
     /**
      * @param model Model to serve (not owned; must outlive server).
-     * @param topo One serving instance per physical core.
-     * @param cfg Session parameters.
-     * @param fault Optional fault injector (not owned; may be null).
+     * @param topo The instance's core group.
+     * @param cfg Execution parameters.
      *
-     * @throws std::invalid_argument on non-positive SLA/service or a
-     *         backoff cap below the base.
+     * @throws std::invalid_argument on a non-positive SLA, an invalid
+     *         service model or invalid batching knobs.
      */
     Server(const core::DlrmModel& model, const sched::Topology& topo,
-           const ServerConfig& cfg,
-           const FaultInjector *fault = nullptr);
+           const ServerConfig& cfg);
 
     /**
-     * Serves one session: requests arrive at @p arrivals_ms and
-     * request r runs inference on batches[r % batches.size()].
-     *
-     * @param dense Dense features shared across requests.
-     * @param batches Sparse inputs cycled through by the stream.
-     * @param arrivals_ms Ascending arrival timestamps (one request
-     *        each), e.g. PoissonLoadGen::arrivals().
-     * @param pf Prefetch spec used while the degradation tier allows
-     *        software prefetching.
-     *
-     * @throws std::invalid_argument on an empty batch list.
+     * Serves one session of this Server's config on a fresh
+     * one-instance, single-tenant TenantFleet built from the bound
+     * model's config (fleet defaults for everything ServerConfig does
+     * not set). The virtual-clock statistics do not depend on the
+     * model's weights; this Server's pool, workspace and hot tier are
+     * not used. Kept only for perfbench/serving_bench.cpp (see
+     * ServerConfig); new code builds the fleet itself.
      */
     ServeStats serve(const core::Tensor& dense,
                      const std::vector<core::SparseBatch>& batches,
                      const std::vector<double>& arrivals_ms,
                      const core::PrefetchSpec& pf =
                          core::PrefetchSpec::paperDefault());
-
-    /** Per-core task health of the underlying pool. */
-    sched::CoreHealth coreHealth(std::size_t core) const
-    {
-        return _pool.health(core);
-    }
-
-    /** Sum of failed-task counters across this instance's cores. */
-    std::uint64_t totalFailed() const { return _pool.totalFailed(); }
 
     std::size_t numCores() const { return _pool.numCores(); }
 
@@ -194,8 +123,7 @@ class Server
      * ForwardWorkspace and returns the measured kernel wall ms; the
      * workspace grows on demand when the group exceeds its current
      * capacity. Throws whatever the pool task threw. This is the one
-     * fused execution path: serve() drives it for every dispatch, the
-     * fleet calls it from its cluster-level event loop.
+     * fused execution path.
      *
      * @throws std::invalid_argument on a zero-sample part.
      */
@@ -212,20 +140,13 @@ class Server
      * never mixes versions within a batch: the whole dispatch runs on
      * whichever model it started with. @p model must share the bound
      * model's architecture (workspace geometry is config-derived).
-     *
-     * A non-null @p fault raises its task fault for attempt
-     * (@p req, @p attempt) inside the pool task, before the forward,
-     * so the pool's CoreHealth counts it like any task failure — how
-     * a lone request attempt meets its injected faults.
      */
     double executeBatchedAttempt(
         std::size_t core,
         const std::vector<const core::SparseBatch *>& parts,
         const std::vector<const core::Tensor *>& dense_parts,
         const DegradeState& tier, const core::PrefetchSpec& pf,
-        const core::DlrmModel& model,
-        const FaultInjector *fault = nullptr, std::uint64_t req = 0,
-        std::uint64_t attempt = 0);
+        const core::DlrmModel& model);
 
     /** Predictions of the last dispatch. */
     const core::Tensor& lastPredictions() const
@@ -235,8 +156,8 @@ class Server
 
     /**
      * Attaches (or detaches, with null) this instance's hot tier:
-     * every execution path probes it before gathering from the cold
-     * store. The tier is an instance-local placement optimization —
+     * every dispatch probes it before gathering from the cold store.
+     * The tier is an instance-local placement optimization —
      * predictions are bitwise-identical with or without it — and it
      * guards itself (HotTierCache::matches) against dispatches pinned
      * to a store it does not front, so attaching is safe under live
@@ -248,36 +169,16 @@ class Server
         _hotTier = std::move(tier);
     }
 
-    /** The attached hot tier (null when serving untiered). */
-    const std::shared_ptr<core::HotTierCache>& hotTier() const
-    {
-        return _hotTier;
-    }
-
-    /**
-     * Backing-store fingerprint of the persistent batched workspace
-     * (core::ForwardWorkspace::bufferFingerprint). Unchanged across
-     * sessions means no dispatch reallocated or moved a buffer — the
-     * probe the fault tests use to show a failed or repaired dispatch
-     * left the workspace's storage alone.
-     */
-    std::size_t workspaceFingerprint() const
-    {
-        return _batchWs.bufferFingerprint();
-    }
-
   private:
     const core::DlrmModel& _model;
     ServerConfig _cfg;
-    const FaultInjector *_fault;
     sched::HtThreadPool _pool;
 
-    /** Preallocated forward scratch, sized on the first session and
-     *  reused for every dispatch thereafter. */
+    /** Forward scratch, grown on demand and reused for every
+     *  dispatch thereafter. */
     core::ForwardWorkspace _batchWs;
-    std::vector<core::PredictionSpan> _splitScratch;
 
-    /** Instance-local hot tier, probed by every execution path. */
+    /** Instance-local hot tier, probed by every dispatch. */
     std::shared_ptr<core::HotTierCache> _hotTier;
 };
 

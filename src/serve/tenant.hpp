@@ -76,6 +76,12 @@ struct TenantConfig
      *  fleet behaviour). */
     DegradeConfig degrade;
 
+    /** Precision floor: every dispatch runs at least this reduced a
+     *  format (degradation can only deepen it). A quantized floor
+     *  gets its own store, built once and shared by the tenant's
+     *  replicas and hot tiers. */
+    core::EmbDtype dtype = core::EmbDtype::Fp32;
+
     double
     effectiveSlaMs() const
     {

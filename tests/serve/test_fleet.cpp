@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/embedding_store.hpp"
 #include "sched/topology.hpp"
 #include "serve/fault_schedule.hpp"
 #include "serve/fleet.hpp"
@@ -92,6 +93,7 @@ class FleetTest : public ::testing::Test
     {
         FleetConfig cfg;
         cfg.instances = 2;
+        cfg.batching.enabled = true;
         cfg.batching.maxRequests = 4;
         cfg.batching.maxLingerMs = 0.2;
         return cfg;
@@ -548,6 +550,95 @@ TEST_F(FleetTest, HotTierReplicasServeRepeatedLookups)
     // Without a budget there are no tiers at all.
     TenantFleet bare(reg, topo, baseConfig());
     EXPECT_EQ(bare.hotTier(0, 0), nullptr);
+}
+
+TEST_F(FleetTest, PrecisionFloorQuantizesEveryDispatch)
+{
+    // A quantized floor serves every dispatch from the tenant's own
+    // quantized store, through replica hot tiers fronting that store,
+    // and each answer is bitwise the standalone model's forward at
+    // that precision over an equal store. bf16 coalesces; int8 runs
+    // one request per dispatch, because the u8·s8 MLP quantizes its
+    // activations over the whole dispatch, so int8 bits depend on
+    // the group a request rides in.
+    for (const core::EmbDtype dtype :
+         {core::EmbDtype::Bf16, core::EmbDtype::Int8}) {
+        const bool coalesce = dtype == core::EmbDtype::Bf16;
+        TenantConfig t = makeTenant("floored", 4096, 50.0, 1.0);
+        t.dtype = dtype;
+        TenantRegistry reg;
+        reg.add(t);
+        FleetConfig cfg = baseConfig();
+        cfg.batching.enabled = coalesce;
+        cfg.seed = 9;
+        cfg.hotTier.budgetBytes = 16 * 1024;
+        cfg.hotTier.minAccesses = 1;
+        cfg.hotTier.epochLookups = 200;
+        TenantFleet fleet(reg, topo, cfg);
+        const core::EmbeddingStore& served =
+            fleet.versioned(0).current()->model->storeFor(dtype);
+        EXPECT_EQ(served.dtype(), dtype);
+        for (std::size_t i = 0; i < fleet.numInstances(); ++i)
+            EXPECT_TRUE(fleet.hotTier(i, 0)->matches(served));
+
+        const TenantWorkload work =
+            makeWork(t.model, 5, evenArrivals(40, 0.1));
+        const FleetStats fs = fleet.serve({work});
+        ASSERT_EQ(fs.total.served, 40u) << core::embDtypeName(dtype);
+        EXPECT_EQ(fs.total.quantDispatches, fs.total.dispatches);
+        if (coalesce)
+            EXPECT_LT(fs.total.dispatches, fs.total.served);
+        EXPECT_GT(fs.tierHits, 0u);
+
+        core::DlrmModel ref(t.model, cfg.seed);
+        ref.attachQuantizedStore(
+            core::EmbeddingStore::create(t.model, cfg.seed, 256, dtype));
+        const auto& fps = fs.perTenant[0].predFingerprints;
+        for (std::size_t r = 0; r < fps.size(); ++r) {
+            core::DlrmWorkspace ws;
+            ref.forward(work.dense, work.batches[r % work.batches.size()],
+                        ws, core::PrefetchSpec::paperDefault(), dtype);
+            EXPECT_EQ(fps[r], fingerprintPredictions(ws.pred.data(),
+                                                     ws.pred.size()))
+                << core::embDtypeName(dtype) << " request " << r;
+        }
+    }
+}
+
+TEST_F(FleetTest, PrecisionFloorRejectsWhatOnlyAnFp32StoreSupports)
+{
+    // Reload, scrubbing, block verification and stored-bit flips act
+    // on a version's fp32 store, which a quantized floor never reads:
+    // the fleet refuses them instead of silently serving around them.
+    TenantConfig t = makeTenant("floored", 4096, 50.0, 1.0);
+    t.dtype = core::EmbDtype::Bf16;
+    TenantRegistry reg;
+    reg.add(t);
+    std::vector<TenantWorkload> work;
+    work.push_back(makeWork(t.model, 5, evenArrivals(8, 0.5)));
+
+    TenantFleet fleet(reg, topo, baseConfig());
+    std::vector<ReloadEvent> reload(1);
+    reload[0].atMs = 1.0;
+    reload[0].newVersion = 2;
+    reload[0].weightSeed = 3;
+    EXPECT_THROW(fleet.serve(work, core::PrefetchSpec::paperDefault(),
+                             nullptr, reload),
+                 std::invalid_argument);
+    const FaultSchedule flips({}, {}, {BitFlipEvent{1.0, 0, 7, 3}});
+    EXPECT_THROW(fleet.serve(work, core::PrefetchSpec::paperDefault(),
+                             &flips),
+                 std::invalid_argument);
+    for (const bool verify : {false, true}) {
+        FleetConfig cfg = baseConfig();
+        cfg.verifyBlocks = verify;
+        cfg.scrub.enabled = !verify;
+        TenantFleet guarded(reg, topo, cfg);
+        EXPECT_THROW(guarded.serve(work), std::invalid_argument)
+            << "verify " << verify;
+    }
+    // Without any of them the floored tenant serves.
+    EXPECT_EQ(fleet.serve(work).total.served, 8u);
 }
 
 TEST_F(FleetTest, ElasticScaleDownsHoldDuringACanaryRollout)

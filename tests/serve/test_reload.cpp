@@ -256,6 +256,7 @@ class ReloadFleetTest : public ::testing::Test
     {
         FleetConfig cfg;
         cfg.instances = 2;
+        cfg.batching.enabled = true;
         cfg.batching.maxRequests = 4;
         cfg.batching.maxLingerMs = 0.2;
         cfg.reload.loadMs = 2.0;

@@ -2,9 +2,10 @@
  * @file
  * Golden session digests for the serving loops.
  *
- * Every Server mode (batching off, batched) is replayed
- * across degradation off/on, faults off/on (task exceptions, corrupt
- * indices, a straggler core) and the three serving precisions. Each
+ * The single-server deployment — one tenant on a one-instance
+ * TenantFleet — is replayed batching off and batched, across
+ * degradation off/on, faults off/on (task exceptions, corrupt
+ * indices, a straggler core) and the three precision floors. Each
  * session folds into one 64-bit digest over its exact counters, its
  * served-latency sequence and its makespan (rounded to 1e-6 ms). The
  * expected digests are constants: any change to admission,
@@ -42,7 +43,6 @@
 #include "serve/fault_schedule.hpp"
 #include "serve/fleet.hpp"
 #include "serve/loadgen.hpp"
-#include "serve/server.hpp"
 #include "trace/generator.hpp"
 
 namespace
@@ -181,12 +181,8 @@ struct ServerCase
 class ServeGolden : public ::testing::Test
 {
   protected:
-    ServeGolden() : model(smallModel(), 11)
+    ServeGolden()
     {
-        model.attachQuantizedStore(core::EmbeddingStore::create(
-            smallModel(), 11, 256, core::EmbDtype::Bf16));
-        model.attachQuantizedStore(core::EmbeddingStore::create(
-            smallModel(), 11, 256, core::EmbDtype::Int8));
         traces::TraceConfig tc = traces::TraceConfig::forModel(
             smallModel(), traces::Hotness::Medium, 5);
         tc.batchSize = 8;
@@ -197,29 +193,38 @@ class ServeGolden : public ::testing::Test
         dense.randomize(3);
     }
 
-    /** One Server session of the matrix; returns its digest and
-     *  describes its counters into @p what. */
+    /** One session of the single-server matrix — one tenant on a
+     *  one-instance fleet; returns its digest and describes its
+     *  counters into @p what. */
     std::uint64_t
     serverSession(Mode mode, bool degrade, bool faults,
                   core::EmbDtype dtype, std::size_t cores,
                   std::string& what)
     {
-        ServerConfig cfg;
-        cfg.slaMs = 10.0;
-        cfg.service = ServiceModel{0.6, 0.05};
-        cfg.dtype = dtype;
+        TenantConfig t;
+        t.name = "server";
+        t.model = smallModel();
+        t.slaMs = 10.0;
+        t.service = ServiceModel{0.6, 0.05};
+        t.truth = ServiceTimeline(t.service);
+        t.dtype = dtype;
+        FleetConfig cfg;
+        cfg.instances = 1;
         cfg.batching.enabled = mode != Mode::Off;
         cfg.batching.maxRequests = 4;
         cfg.batching.maxLingerMs = 0.5;
         cfg.maxRetries = 2;
+        cfg.seed = 11;
         if (degrade) {
             // Let latency build so the ladder walks every tier:
             // precision, coalescing cap shrink, prefetch off.
             cfg.admission = false;
-            cfg.degrade.enabled = true;
-            cfg.degrade.window = 8;
-            cfg.degrade.cooldown = 8;
+            t.degrade.enabled = true;
+            t.degrade.window = 8;
+            t.degrade.cooldown = 8;
         }
+        TenantRegistry reg;
+        reg.add(t);
 
         FaultConfig fc;
         fc.seed = 19;
@@ -227,15 +232,18 @@ class ServeGolden : public ::testing::Test
         fc.corruptIndexRate = 0.05;
         fc.stragglerCore = static_cast<int>(cores) - 1;
         fc.stragglerFactor = 2.5;
-        const FaultInjector inj(fc);
+        const FaultSchedule script = faults
+            ? FaultSchedule({{0.0, 0, fc}}, {}, {})
+            : FaultSchedule();
 
-        Server srv(model, sched::Topology::synthetic(cores, 2), cfg,
-                   faults ? &inj : nullptr);
-        const auto arrivals =
-            PoissonLoadGen(degrade ? 0.15 : 0.3, 17).arrivals(160);
-        const ServeStats st = srv.serve(dense, batches, arrivals);
-        what = describe(st);
-        return digestOf(st);
+        TenantFleet fleet(reg, sched::Topology::synthetic(cores, 2), cfg);
+        const std::vector<TenantWorkload> work{
+            {dense, batches,
+             PoissonLoadGen(degrade ? 0.15 : 0.3, 17).arrivals(160)}};
+        const FleetStats fs = fleet.serve(
+            work, core::PrefetchSpec::paperDefault(), &script);
+        what = describe(fs.total);
+        return digestOf(fs.total);
     }
 
     void
@@ -477,7 +485,6 @@ class ServeGolden : public ::testing::Test
         return d.value();
     }
 
-    core::DlrmModel model;
     std::vector<core::SparseBatch> batches;
     core::Tensor dense;
 };

@@ -1,8 +1,10 @@
 /**
  * @file
- * Tests for the fault-tolerant request server: admission control,
- * deadline compliance, retry with backoff, graceful degradation, and
- * bit-reproducible behaviour under seeded fault injection.
+ * Tests for the single-server deployment — one tenant on a
+ * one-instance TenantFleet — and the Server execution engine under
+ * it: admission control, deadline compliance, retry with backoff,
+ * graceful degradation, and bit-reproducible behaviour under seeded
+ * fault injection.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +13,8 @@
 #include <vector>
 
 #include "core/embedding_store.hpp"
+#include "serve/fault_schedule.hpp"
+#include "serve/fleet.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
 #include "trace/generator.hpp"
@@ -51,6 +55,40 @@ class ServerTest : public ::testing::Test
         dense.randomize(3);
     }
 
+    /** The served tenant: SLA @p sla_ms, priced by @p service. */
+    static TenantConfig
+    tenant(double sla_ms, const ServiceModel& service)
+    {
+        TenantConfig t;
+        t.name = "server";
+        t.model = smallModel();
+        t.slaMs = sla_ms;
+        t.service = service;
+        t.truth = ServiceTimeline(service);
+        return t;
+    }
+
+    /** One session of @p t alone on a one-instance fleet over a 2-core
+     *  group, under @p faults (may be null) from t=0. */
+    FleetStats
+    serveAlone(const TenantConfig& t, FleetConfig cfg,
+               const std::vector<double>& arrivals,
+               const FaultSchedule *faults = nullptr)
+    {
+        TenantRegistry reg;
+        reg.add(t);
+        cfg.instances = 1;
+        TenantFleet fleet(reg, sched::Topology::synthetic(2, 2), cfg);
+        return fleet.serve({{dense, batches, arrivals}},
+                           core::PrefetchSpec::paperDefault(), faults);
+    }
+
+    static FaultSchedule
+    phase(const FaultConfig& fc)
+    {
+        return FaultSchedule({{0.0, 0, fc}}, {}, {});
+    }
+
     core::DlrmModel model;
     std::vector<core::SparseBatch> batches;
     core::Tensor dense;
@@ -58,13 +96,10 @@ class ServerTest : public ::testing::Test
 
 TEST_F(ServerTest, ServesACleanStreamCompletely)
 {
-    ServerConfig cfg;
-    cfg.slaMs = 50.0;
-    cfg.service = ServiceModel::constant(1.0);
-    Server srv(model, sched::Topology::synthetic(2, 2), cfg);
-
     const auto arrivals = PoissonLoadGen(2.0, 3).arrivals(100);
-    const auto st = srv.serve(dense, batches, arrivals);
+    const auto st = serveAlone(tenant(50.0, ServiceModel::constant(1.0)),
+                               FleetConfig{}, arrivals)
+                        .total;
 
     EXPECT_EQ(st.arrived, 100u);
     EXPECT_EQ(st.served, 100u);
@@ -72,9 +107,35 @@ TEST_F(ServerTest, ServesACleanStreamCompletely)
     EXPECT_EQ(st.failed, 0u);
     EXPECT_EQ(st.retried, 0u);
     EXPECT_EQ(st.latency.count(), 100u);
-    EXPECT_LE(st.latency.p95(), cfg.slaMs);
+    EXPECT_LE(st.latency.p95(), 50.0);
     EXPECT_GT(st.execTotalMs, 0.0);
     EXPECT_FALSE(st.summary().empty());
+}
+
+TEST_F(ServerTest, ServeRunsTheSessionOnASingleTenantFleet)
+{
+    // Server::serve is a thin adapter: its statistics are those of
+    // the same session on a one-instance, single-tenant fleet.
+    ServerConfig cfg;
+    cfg.slaMs = 20.0;
+    cfg.service = ServiceModel{0.5, 0.05};
+    cfg.batching.enabled = true;
+    cfg.batching.maxRequests = 4;
+    cfg.batching.maxLingerMs = 0.5;
+    Server srv(model, sched::Topology::synthetic(2, 2), cfg);
+    const auto arrivals = PoissonLoadGen(0.1, 3).arrivals(200);
+    const ServeStats st = srv.serve(dense, batches, arrivals);
+
+    FleetConfig fc;
+    fc.batching = cfg.batching;
+    const ServeStats want =
+        serveAlone(tenant(cfg.slaMs, cfg.service), fc, arrivals).total;
+    EXPECT_EQ(st.served, want.served);
+    EXPECT_EQ(st.shed, want.shed);
+    EXPECT_EQ(st.dispatches, want.dispatches);
+    EXPECT_EQ(st.latency.samples(), want.latency.samples());
+    EXPECT_GT(st.shed, 0u);
+    EXPECT_LT(st.dispatches, st.served);
 }
 
 TEST_F(ServerTest, AdmissionControlShedsOverloadAndProtectsTheTail)
@@ -82,27 +143,22 @@ TEST_F(ServerTest, AdmissionControlShedsOverloadAndProtectsTheTail)
     // rho = service / (mean arrival * cores) = 1 / (0.2 * 2) = 2.5:
     // hopeless overload. Admission control must shed, and the p95 of
     // what it *does* serve must stay within the SLA.
-    ServerConfig cfg;
-    cfg.slaMs = 10.0;
-    cfg.service = ServiceModel::constant(1.0);
-    Server srv(model, sched::Topology::synthetic(2, 2), cfg);
-
+    const TenantConfig t = tenant(10.0, ServiceModel::constant(1.0));
     const auto arrivals = PoissonLoadGen(0.2, 3).arrivals(300);
-    const auto st = srv.serve(dense, batches, arrivals);
+    const auto st = serveAlone(t, FleetConfig{}, arrivals).total;
 
     EXPECT_GT(st.shed, 0u);
     EXPECT_EQ(st.served + st.shed, 300u);
-    EXPECT_LE(st.latency.p95(), cfg.slaMs);
+    EXPECT_LE(st.latency.p95(), t.slaMs);
 
     // Same overload without admission control: everything is served
     // but the tail blows through the SLA.
-    ServerConfig open = cfg;
+    FleetConfig open;
     open.admission = false;
-    Server srv2(model, sched::Topology::synthetic(2, 2), open);
-    const auto st2 = srv2.serve(dense, batches, arrivals);
+    const auto st2 = serveAlone(t, open, arrivals).total;
     EXPECT_EQ(st2.served, 300u);
     EXPECT_EQ(st2.shed, 0u);
-    EXPECT_GT(st2.latency.p95(), cfg.slaMs);
+    EXPECT_GT(st2.latency.p95(), t.slaMs);
 }
 
 TEST_F(ServerTest, InjectedFaultsAreRetriedNotFatal)
@@ -112,16 +168,14 @@ TEST_F(ServerTest, InjectedFaultsAreRetriedNotFatal)
     fc.taskExceptionRate = 0.10;
     fc.corruptIndexRate = 0.05;
     fc.allocFailureRate = 0.02;
-    const FaultInjector inj(fc);
+    const FaultSchedule faults = phase(fc);
 
-    ServerConfig cfg;
-    cfg.slaMs = 50.0;
-    cfg.service = ServiceModel::constant(1.0);
+    FleetConfig cfg;
     cfg.maxRetries = 4;
-    Server srv(model, sched::Topology::synthetic(2, 2), cfg, &inj);
-
     const auto arrivals = PoissonLoadGen(2.0, 3).arrivals(200);
-    const auto st = srv.serve(dense, batches, arrivals);
+    const auto st = serveAlone(tenant(50.0, ServiceModel::constant(1.0)),
+                               cfg, arrivals, &faults)
+                        .total;
 
     EXPECT_EQ(st.arrived, 200u);
     EXPECT_EQ(st.served + st.shed + st.failed, 200u);
@@ -129,10 +183,10 @@ TEST_F(ServerTest, InjectedFaultsAreRetriedNotFatal)
     // ~17% per-attempt fault rate with 4 retries: nearly everything
     // eventually lands.
     EXPECT_GT(st.served, 190u);
-    // The pool recorded the injected failures without dying.
-    EXPECT_GT(srv.coreHealth(0).failed + srv.coreHealth(1).failed, 0u);
-    EXPECT_GT(inj.injectedExceptions(), 0u);
-    EXPECT_GT(inj.injectedCorruptions(), 0u);
+    const FaultInjector *inj = faults.injectorAt(0.0, 0);
+    ASSERT_NE(inj, nullptr);
+    EXPECT_GT(inj->injectedExceptions(), 0u);
+    EXPECT_GT(inj->injectedCorruptions(), 0u);
 }
 
 TEST_F(ServerTest, SeededFaultRunIsExactlyReproducible)
@@ -147,22 +201,17 @@ TEST_F(ServerTest, SeededFaultRunIsExactlyReproducible)
     fc.stragglerCore = 0;
     fc.stragglerFactor = 3.0;
 
-    ServerConfig cfg;
-    cfg.slaMs = 25.0;
-    cfg.service = ServiceModel::constant(1.0);
+    FleetConfig cfg;
     cfg.maxRetries = 3;
     cfg.backoffBaseMs = 1.0;
     cfg.backoffCapMs = 4.0;
-
+    const TenantConfig t = tenant(25.0, ServiceModel::constant(1.0));
     const auto arrivals = PoissonLoadGen(1.5, 9).arrivals(400);
 
-    const FaultInjector inj1(fc);
-    Server srv1(model, sched::Topology::synthetic(2, 2), cfg, &inj1);
-    const auto a = srv1.serve(dense, batches, arrivals);
-
-    const FaultInjector inj2(fc);
-    Server srv2(model, sched::Topology::synthetic(2, 2), cfg, &inj2);
-    const auto b = srv2.serve(dense, batches, arrivals);
+    const FaultSchedule f1 = phase(fc);
+    const auto a = serveAlone(t, cfg, arrivals, &f1).total;
+    const FaultSchedule f2 = phase(fc);
+    const auto b = serveAlone(t, cfg, arrivals, &f2).total;
 
     EXPECT_EQ(a.arrived, b.arrived);
     EXPECT_EQ(a.served, b.served);
@@ -173,7 +222,7 @@ TEST_F(ServerTest, SeededFaultRunIsExactlyReproducible)
 
     EXPECT_EQ(a.served + a.shed + a.failed, 400u);
     EXPECT_GT(a.retried, 0u);
-    EXPECT_LE(a.latency.p95(), cfg.slaMs);
+    EXPECT_LE(a.latency.p95(), t.slaMs);
 }
 
 TEST_F(ServerTest, DegradationEngagesUnderPressureWithoutRepricing)
@@ -184,26 +233,21 @@ TEST_F(ServerTest, DegradationEngagesUnderPressureWithoutRepricing)
     // executes (precision, prefetch, coalescing cap), never the price
     // of a dispatch: unbatched, the degraded session's virtual clock
     // matches the rigid one's exactly.
-    ServerConfig cfg;
-    cfg.slaMs = 60.0;
-    cfg.service = ServiceModel::constant(1.0);
+    TenantConfig t = tenant(60.0, ServiceModel::constant(1.0));
+    t.degrade.enabled = true;
+    t.degrade.window = 32;
+    t.degrade.cooldown = 32;
+    FleetConfig cfg;
     cfg.admission = false;
-    cfg.degrade.enabled = true;
-    cfg.degrade.window = 32;
-    cfg.degrade.cooldown = 32;
 
     const auto arrivals = PoissonLoadGen(0.3, 3).arrivals(400);
-
-    Server degraded(model, sched::Topology::synthetic(2, 2), cfg);
-    const auto st = degraded.serve(dense, batches, arrivals);
+    const auto st = serveAlone(t, cfg, arrivals).total;
     EXPECT_GT(st.degradeEscalations, 0u);
     EXPECT_GT(st.finalTier, 0);
     EXPECT_GT(st.quantDispatches, 0u);
 
-    ServerConfig rigid = cfg;
-    rigid.degrade.enabled = false;
-    Server fixed(model, sched::Topology::synthetic(2, 2), rigid);
-    const auto st2 = fixed.serve(dense, batches, arrivals);
+    t.degrade.enabled = false;
+    const auto st2 = serveAlone(t, cfg, arrivals).total;
     EXPECT_EQ(st2.degradeEscalations, 0u);
     EXPECT_EQ(st2.quantDispatches, 0u);
 
@@ -216,54 +260,44 @@ TEST_F(ServerTest, BatchingCoalescesWithoutChangingOutcomes)
     // Affine service model: coalescing amortizes the 0.5ms dispatch
     // cost, so the batched session must serve everything the
     // unbatched one does with strictly fewer dispatches.
-    ServerConfig cfg;
-    cfg.slaMs = 50.0;
-    cfg.service = ServiceModel{0.5, 0.05};
+    const TenantConfig t = tenant(50.0, ServiceModel{0.5, 0.05});
     const auto arrivals = PoissonLoadGen(1.0, 3).arrivals(200);
+    const auto base = serveAlone(t, FleetConfig{}, arrivals).total;
 
-    Server flat(model, sched::Topology::synthetic(2, 2), cfg);
-    const auto base = flat.serve(dense, batches, arrivals);
-
-    ServerConfig bcfg = cfg;
+    FleetConfig bcfg;
     bcfg.batching.enabled = true;
     bcfg.batching.maxRequests = 8;
     bcfg.batching.maxLingerMs = 1.0;
-    Server coalescing(model, sched::Topology::synthetic(2, 2), bcfg);
-    const auto st = coalescing.serve(dense, batches, arrivals);
+    const auto st = serveAlone(t, bcfg, arrivals).total;
 
     EXPECT_EQ(st.arrived, 200u);
     EXPECT_EQ(st.served, 200u);
     EXPECT_EQ(st.failed, 0u);
     EXPECT_LT(st.dispatches, base.dispatches);
     EXPECT_GT(st.dispatches, 0u);
-    EXPECT_LE(st.latency.p95(), cfg.slaMs);
+    EXPECT_LE(st.latency.p95(), t.slaMs);
     EXPECT_GT(st.execTotalMs, 0.0);
 }
 
 TEST_F(ServerTest, BatchingServesMoreUnderOverload)
 {
     // Heavy overload with a large per-dispatch cost: the unbatched
-    // server sheds aggressively; coalescing amortizes the base cost
+    // session sheds aggressively; coalescing amortizes the base cost
     // and must push substantially more requests through within the
     // same SLA.
-    ServerConfig cfg;
-    cfg.slaMs = 20.0;
-    cfg.service = ServiceModel{1.0, 0.02};
+    const TenantConfig t = tenant(20.0, ServiceModel{1.0, 0.02});
     const auto arrivals = PoissonLoadGen(0.25, 5).arrivals(400);
+    const auto base = serveAlone(t, FleetConfig{}, arrivals).total;
 
-    Server flat(model, sched::Topology::synthetic(2, 2), cfg);
-    const auto base = flat.serve(dense, batches, arrivals);
-
-    ServerConfig bcfg = cfg;
+    FleetConfig bcfg;
     bcfg.batching.enabled = true;
     bcfg.batching.maxRequests = 8;
     bcfg.batching.maxLingerMs = 2.0;
-    Server coalescing(model, sched::Topology::synthetic(2, 2), bcfg);
-    const auto st = coalescing.serve(dense, batches, arrivals);
+    const auto st = serveAlone(t, bcfg, arrivals).total;
 
     EXPECT_GT(base.shed, 0u);
     EXPECT_GT(st.served, base.served);
-    EXPECT_LE(st.latency.p95(), cfg.slaMs);
+    EXPECT_LE(st.latency.p95(), t.slaMs);
     // The acceptance bar: >= 1.3x sustained throughput at an equal
     // or better served tail.
     const double base_rate =
@@ -284,25 +318,23 @@ TEST_F(ServerTest, BatchedFaultsAreIsolatedPerMember)
     fc.seed = 33;
     fc.taskExceptionRate = 0.10;
     fc.corruptIndexRate = 0.05;
-    const FaultInjector inj(fc);
+    const FaultSchedule faults = phase(fc);
 
-    ServerConfig cfg;
-    cfg.slaMs = 50.0;
-    cfg.service = ServiceModel{0.5, 0.05};
+    FleetConfig cfg;
     cfg.maxRetries = 4;
     cfg.batching.enabled = true;
     cfg.batching.maxRequests = 6;
     cfg.batching.maxLingerMs = 1.0;
-    Server srv(model, sched::Topology::synthetic(2, 2), cfg, &inj);
-
     const auto arrivals = PoissonLoadGen(1.5, 3).arrivals(200);
-    const auto st = srv.serve(dense, batches, arrivals);
+    const auto st = serveAlone(tenant(50.0, ServiceModel{0.5, 0.05}),
+                               cfg, arrivals, &faults)
+                        .total;
 
     EXPECT_EQ(st.arrived, 200u);
     EXPECT_EQ(st.served + st.shed + st.failed, 200u);
     EXPECT_GT(st.retried, 0u);
     EXPECT_GT(st.served, 190u);
-    EXPECT_GT(inj.injectedExceptions(), 0u);
+    EXPECT_GT(faults.injectorAt(0.0, 0)->injectedExceptions(), 0u);
 }
 
 TEST_F(ServerTest, SeededBatchedRunIsExactlyReproducible)
@@ -313,23 +345,18 @@ TEST_F(ServerTest, SeededBatchedRunIsExactlyReproducible)
     fc.stragglerCore = 0;
     fc.stragglerFactor = 2.0;
 
-    ServerConfig cfg;
-    cfg.slaMs = 30.0;
-    cfg.service = ServiceModel{0.5, 0.05};
+    FleetConfig cfg;
     cfg.maxRetries = 3;
     cfg.batching.enabled = true;
     cfg.batching.maxRequests = 8;
     cfg.batching.maxLingerMs = 1.0;
-
+    const TenantConfig t = tenant(30.0, ServiceModel{0.5, 0.05});
     const auto arrivals = PoissonLoadGen(1.0, 9).arrivals(300);
 
-    const FaultInjector inj1(fc);
-    Server srv1(model, sched::Topology::synthetic(2, 2), cfg, &inj1);
-    const auto a = srv1.serve(dense, batches, arrivals);
-
-    const FaultInjector inj2(fc);
-    Server srv2(model, sched::Topology::synthetic(2, 2), cfg, &inj2);
-    const auto b = srv2.serve(dense, batches, arrivals);
+    const FaultSchedule f1 = phase(fc);
+    const auto a = serveAlone(t, cfg, arrivals, &f1).total;
+    const FaultSchedule f2 = phase(fc);
+    const auto b = serveAlone(t, cfg, arrivals, &f2).total;
 
     EXPECT_EQ(a.served, b.served);
     EXPECT_EQ(a.shed, b.shed);
@@ -347,20 +374,18 @@ TEST_F(ServerTest, DegradationShrinksTheCoalescingCap)
     // dispatches carry fewer members than tier 0 would allow. The
     // end-to-end signal: the degraded batched run still completes and
     // records escalations.
-    ServerConfig cfg;
-    cfg.slaMs = 40.0;
-    cfg.service = ServiceModel{1.0, 0.15};
+    TenantConfig t = tenant(40.0, ServiceModel{1.0, 0.15});
+    t.degrade.enabled = true;
+    t.degrade.window = 32;
+    t.degrade.cooldown = 32;
+    FleetConfig cfg;
     cfg.admission = false;
-    cfg.degrade.enabled = true;
-    cfg.degrade.window = 32;
-    cfg.degrade.cooldown = 32;
     cfg.batching.enabled = true;
     cfg.batching.maxRequests = 8;
     cfg.batching.maxLingerMs = 1.0;
 
     const auto arrivals = PoissonLoadGen(0.2, 3).arrivals(400);
-    Server srv(model, sched::Topology::synthetic(2, 2), cfg);
-    const auto st = srv.serve(dense, batches, arrivals);
+    const auto st = serveAlone(t, cfg, arrivals).total;
 
     EXPECT_EQ(st.served, 400u);
     EXPECT_GT(st.degradeEscalations, 0u);
@@ -372,17 +397,15 @@ TEST_F(ServerTest, QuantizedTierFallsBackGracefullyWithoutStores)
     // A degradation tier asking for a precision that was never
     // provisioned must still serve (embedding bags fall back to the
     // fp32 store; the int8 MLP engine is always available).
-    ServerConfig cfg;
-    cfg.slaMs = 12.0;
-    cfg.service = ServiceModel::constant(1.0);
+    TenantConfig t = tenant(12.0, ServiceModel::constant(1.0));
+    t.degrade.enabled = true;
+    t.degrade.window = 16;
+    t.degrade.cooldown = 16;
+    FleetConfig cfg;
     cfg.admission = false;
-    cfg.degrade.enabled = true;
-    cfg.degrade.window = 16;
-    cfg.degrade.cooldown = 16;
 
     const auto arrivals = PoissonLoadGen(0.4, 3).arrivals(200);
-    Server srv(model, sched::Topology::synthetic(2, 2), cfg);
-    const auto st = srv.serve(dense, batches, arrivals);
+    const auto st = serveAlone(t, cfg, arrivals).total;
 
     EXPECT_EQ(st.served, 200u);
     EXPECT_EQ(st.failed, 0u);
@@ -400,18 +423,18 @@ TEST_F(ServerTest, RejectsBadConfigsAndInputs)
     EXPECT_THROW(Server(model, sched::Topology::synthetic(1, 1), cfg),
                  std::invalid_argument);
     cfg = {};
-    cfg.backoffBaseMs = 4.0;
-    cfg.backoffCapMs = 1.0;
-    EXPECT_THROW(Server(model, sched::Topology::synthetic(1, 1), cfg),
-                 std::invalid_argument);
-    cfg = {};
     cfg.batching.maxRequests = 0;
     EXPECT_THROW(Server(model, sched::Topology::synthetic(1, 1), cfg),
                  std::invalid_argument);
 
-    cfg = {};
-    Server srv(model, sched::Topology::synthetic(1, 1), cfg);
-    EXPECT_THROW(srv.serve(dense, {}, {0.0}), std::invalid_argument);
+    // A session with arrivals but no batches to serve them.
+    TenantRegistry reg;
+    reg.add(tenant(20.0, ServiceModel::constant(1.0)));
+    FleetConfig one;
+    one.instances = 1;
+    TenantFleet fleet(reg, sched::Topology::synthetic(1, 1), one);
+    EXPECT_THROW(fleet.serve({{dense, {}, {0.0}}}),
+                 std::invalid_argument);
 }
 
 /** A structurally valid request carrying no samples. */
@@ -429,11 +452,12 @@ TEST_F(ServerTest, ServeRejectsAZeroSampleRequest)
 {
     const core::SparseBatch z = zeroSampleBatch();
     ASSERT_TRUE(z.valid(smallModel().rows));
+    batches = {batches[0], z};
     for (const bool batching : {false, true}) {
-        ServerConfig cfg;
+        FleetConfig cfg;
         cfg.batching.enabled = batching;
-        Server srv(model, sched::Topology::synthetic(2, 2), cfg);
-        EXPECT_THROW(srv.serve(dense, {batches[0], z}, {0.0, 0.5}),
+        EXPECT_THROW(serveAlone(tenant(20.0, ServiceModel::constant(1.0)),
+                                cfg, {0.0, 0.5}),
                      std::invalid_argument)
             << "batching " << batching;
     }
@@ -459,46 +483,38 @@ TEST_F(ServerTest, ExecuteBatchedAttemptRejectsAZeroSamplePart)
 
 TEST_F(ServerTest, BitFlipQuarantineRestoresBitwiseServing)
 {
-    auto mut = core::EmbeddingStore::createMutable(smallModel(), 11);
-    const core::DlrmModel m(smallModel(), mut, 11);
-
-    ServerConfig cfg;
-    cfg.slaMs = 80.0;
+    TenantRegistry reg;
+    reg.add(tenant(80.0, ServiceModel::constant(1.0)));
+    FleetConfig cfg;
+    cfg.instances = 1;
     cfg.batching.enabled = true;
     cfg.batching.maxRequests = 4;
-    Server srv(m, sched::Topology::synthetic(2, 2), cfg);
+    cfg.verifyBlocks = true;
+    TenantFleet fleet(reg, sched::Topology::synthetic(2, 2), cfg);
 
     // Pristine baseline through the batched gather path.
-    const std::vector<double> arrivals(12, 0.0);
-    const auto base = srv.serve(dense, batches, arrivals);
-    ASSERT_EQ(base.served, 12u);
-    const core::Tensor& p0 = srv.lastPredictions();
-    const std::vector<float> want(p0.data(), p0.data() + p0.size());
-    const std::size_t ws_fp = srv.workspaceFingerprint();
+    const std::vector<TenantWorkload> work{
+        {dense, batches, std::vector<double>(12, 0.0)}};
+    const FleetStats base = fleet.serve(work);
+    ASSERT_EQ(base.total.served, 12u);
+    EXPECT_EQ(base.verifyRepairs, 0u);
 
-    // A DRAM upset flips one stored row bit: the block's checksum
-    // stops verifying, nothing else announces the corruption.
-    FaultConfig fc;
-    fc.seed = 5;
-    fc.bitFlipRate = 1.0;
-    const FaultInjector flipper(fc);
-    ASSERT_TRUE(flipper.maybeFlipStoredBit(*mut, 0, 0));
-    const auto bad = mut->findCorruptBlocks();
-    ASSERT_EQ(bad.size(), 1u);
-
-    // Quarantine + repair (what FleetConfig::verifyBlocks does), then
-    // the identical session must serve bit-identical predictions
-    // again — zero wrong answers survive the upset.
-    mut->repairBlock(bad[0].table, bad[0].block);
-    EXPECT_TRUE(mut->findCorruptBlocks().empty());
-
-    const auto st = srv.serve(dense, batches, arrivals);
-    EXPECT_EQ(st.served, 12u);
-    const core::Tensor& p1 = srv.lastPredictions();
-    ASSERT_EQ(p1.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i)
-        ASSERT_EQ(want[i], p1.data()[i]) << "prediction " << i;
-    EXPECT_EQ(srv.workspaceFingerprint(), ws_fp);
+    // A DRAM upset flips one bit of a row the stream reads: the
+    // block's checksum stops verifying, nothing else announces the
+    // corruption. Verification repairs the block before any member
+    // reads it, so the identical session serves bit-identical
+    // predictions again — zero wrong answers survive the upset.
+    const FaultSchedule upset(
+        {}, {},
+        {{0.0, 0,
+          static_cast<std::size_t>(batches.front().indices[0][0]), 30}});
+    const FleetStats st = fleet.serve(
+        work, core::PrefetchSpec::paperDefault(), &upset);
+    EXPECT_EQ(st.total.served, 12u);
+    EXPECT_EQ(st.verifyRepairs, 1u);
+    EXPECT_EQ(st.perTenant[0].predFingerprints,
+              base.perTenant[0].predFingerprints);
+    EXPECT_TRUE(fleet.currentStore(0).findCorruptBlocks().empty());
 }
 
 } // namespace

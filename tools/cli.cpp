@@ -204,26 +204,24 @@ attachQuantized(core::DlrmModel& model, const core::ModelConfig& cfg,
 }
 
 /**
- * Builds the hot tier the shared --cache-budget option asks for (null
- * when the option is absent or zero): a HotTierCache over the store
- * the session's serving precision reads, sized from the byte budget.
+ * The hot tier the shared --cache-budget option asks for (budgetBytes
+ * 0 when the option is absent or zero): each fleet replica pins one
+ * over the store its serving precision reads.
  */
-std::shared_ptr<core::HotTierCache>
-makeHotTier(const core::DlrmModel& model, core::EmbDtype dtype,
-            const ParsedArgs& args)
+core::HotTierConfig
+hotTierConfig(const ParsedArgs& args)
 {
+    core::HotTierConfig hc;
     const double budget = args.getDouble("cache-budget", 0.0);
     if (!(budget > 0.0))
-        return nullptr;
-    core::HotTierConfig hc;
+        return hc;
     hc.budgetBytes = static_cast<std::size_t>(budget);
     hc.epochLookups = static_cast<std::size_t>(
         args.getInt("cache-epoch-lookups", 20'000));
     hc.minAccesses = static_cast<std::uint32_t>(
         args.getInt("cache-min-accesses", 2));
     hc.validate();
-    return std::make_shared<core::HotTierCache>(
-        model.sharedStoreFor(dtype), hc);
+    return hc;
 }
 
 /** One-line tier report ("hit 93.2% | resident 4096/4096 rows ..."). */
@@ -561,10 +559,84 @@ cmdGemmTune(const ParsedArgs& args, std::ostream& out)
     return 0;
 }
 
+/** The one tenant a single-tenant fleet serves: @p model at --sla,
+ *  with the virtual clock priced by the same --service-ms model
+ *  admission estimates with. */
+serve::TenantConfig
+tenantOf(const core::ModelConfig& model, const ParsedArgs& args)
+{
+    serve::TenantConfig tc;
+    tc.name = model.name;
+    tc.model = model;
+    tc.slaMs = args.getDouble("sla", 25.0);
+    tc.service = serve::ServiceModel::constant(
+        args.getDouble("service-ms", 1.0));
+    tc.truth = serve::ServiceTimeline(tc.service);
+    return tc;
+}
+
+/** tenantOf() as the registry `router` and `chaos` serve. */
+serve::TenantRegistry
+singleTenant(const core::ModelConfig& model, const ParsedArgs& args)
+{
+    serve::TenantRegistry reg;
+    reg.add(tenantOf(model, args));
+    return reg;
+}
+
+/** A one-instance fleet over @p topo serving @p tenant alone: the
+ *  single-server deployment `serve` and `batch` run. */
+serve::TenantFleet
+singleServer(const serve::TenantConfig& tenant,
+             const serve::FleetConfig& cfg, const sched::Topology& topo)
+{
+    serve::TenantRegistry reg;
+    reg.add(tenant);
+    return serve::TenantFleet(reg, topo, cfg);
+}
+
+/** The Poisson stream `serve` and `batch` replay: @p requests
+ *  requests every @p arrival_ms on average, cycling through 16
+ *  --batch-size batches of --hotness. */
+serve::TenantWorkload
+singleWorkload(const core::ModelConfig& model, const ParsedArgs& args,
+               std::uint64_t seed, std::size_t requests,
+               double arrival_ms)
+{
+    traces::TraceConfig tc = traces::TraceConfig::forModel(
+        model, parseHotness(args.get("hotness", "medium")), seed);
+    tc.batchSize = static_cast<std::size_t>(
+        args.getInt("batch-size", 16));
+    traces::TraceGenerator gen(tc);
+    serve::TenantWorkload w;
+    for (std::size_t b = 0; b < 16; ++b)
+        w.batches.push_back(gen.batch(b));
+    w.dense = core::Tensor(tc.batchSize, model.denseDim());
+    w.dense.randomize(seed + 1);
+    w.arrivalsMs =
+        serve::PoissonLoadGen(arrival_ms, seed).arrivals(requests);
+    return w;
+}
+
+/** A batching-off single-tenant fleet of @p instances slots. */
+serve::FleetConfig
+clusterConfig(const ParsedArgs& args, std::size_t instances,
+              std::uint64_t seed)
+{
+    serve::FleetConfig cfg;
+    cfg.instances = instances;
+    cfg.admission = !args.has("no-admission");
+    cfg.maxRetries =
+        static_cast<std::size_t>(args.getInt("retries", 2));
+    cfg.seed = seed;
+    return cfg;
+}
+
 int
 cmdServe(const ParsedArgs& args, std::ostream& out)
 {
-    // A scaled-down Table 2 model that really executes on this host.
+    // A scaled-down Table 2 model that really executes on this host,
+    // served alone on a one-instance fleet.
     const auto base = core::modelByName(args.get("model", "rm2_1"));
     const double max_bytes =
         args.getDouble("max-bytes", 64.0 * (1u << 20));
@@ -572,15 +644,10 @@ cmdServe(const ParsedArgs& args, std::ostream& out)
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
 
-    serve::ServerConfig scfg;
-    scfg.slaMs = args.getDouble("sla", 25.0);
-    scfg.service = serve::ServiceModel::constant(
-        args.getDouble("service-ms", 1.0));
-    scfg.admission = !args.has("no-admission");
-    scfg.maxRetries =
-        static_cast<std::size_t>(args.getInt("retries", 2));
-    scfg.dtype = parseDtypeOption(args);
+    serve::TenantConfig tenant = tenantOf(cfg_model, args);
+    tenant.dtype = parseDtypeOption(args);
 
+    // The fault flags are one fault phase on the instance from t=0.
     serve::FaultConfig fc;
     fc.seed = seed;
     fc.taskExceptionRate =
@@ -591,7 +658,7 @@ cmdServe(const ParsedArgs& args, std::ostream& out)
         static_cast<int>(args.getInt("fault-straggler-core", -1));
     fc.stragglerFactor =
         args.getDouble("fault-straggler-factor", 1.0);
-    const serve::FaultInjector inj(fc);
+    const serve::FaultSchedule faults({{0.0, 0, fc}}, {}, {});
 
     const std::size_t cores =
         static_cast<std::size_t>(args.getInt("cores", 2));
@@ -603,53 +670,32 @@ cmdServe(const ParsedArgs& args, std::ostream& out)
     if (requests == 0)
         throw std::invalid_argument("--requests must be >= 1");
 
-    traces::TraceConfig tc = traces::TraceConfig::forModel(
-        cfg_model, parseHotness(args.get("hotness", "medium")), seed);
-    tc.batchSize = static_cast<std::size_t>(
-        args.getInt("batch-size", 16));
-    traces::TraceGenerator gen(tc);
-    std::vector<core::SparseBatch> batches;
-    for (std::size_t b = 0; b < 16; ++b)
-        batches.push_back(gen.batch(b));
-
-    core::DlrmModel model(cfg_model, seed);
-    attachQuantized(model, cfg_model, seed, scfg.dtype);
-    core::Tensor dense(tc.batchSize, cfg_model.denseDim());
-    dense.randomize(seed + 1);
-
-    const auto arrivals =
-        serve::PoissonLoadGen(arrival_ms, seed).arrivals(requests);
-    const auto hot_tier = makeHotTier(model, scfg.dtype, args);
-
-    out << cfg_model.name << " scaled to "
-        << model.embeddingBytes() / (1u << 20) << " MB embeddings, "
-        << cores << " core(s), SLA " << scfg.slaMs << " ms, mean "
-        << "interarrival " << arrival_ms << " ms, precision "
-        << core::embDtypeName(scfg.dtype) << "\n";
-    if (hot_tier) {
-        out << "hot tier: " << hot_tier->capacityRows()
-            << " row budget\n";
-    }
-
+    const auto work = singleWorkload(cfg_model, args, seed, requests,
+                                     arrival_ms);
     const auto topo = sched::Topology::synthetic(cores, 2);
-    {
-        serve::Server srv(model, topo, scfg, &inj);
-        if (hot_tier)
-            srv.attachHotTier(hot_tier);
-        const auto st = srv.serve(dense, batches, arrivals);
-        out << "baseline    " << st.summary() << "\n";
-    }
-    {
-        serve::ServerConfig dcfg = scfg;
-        dcfg.degrade.enabled = true;
-        serve::Server srv(model, topo, dcfg, &inj);
-        if (hot_tier)
-            srv.attachHotTier(hot_tier);
-        const auto st = srv.serve(dense, batches, arrivals);
-        out << "degradation " << st.summary() << "\n";
-    }
-    if (hot_tier)
-        out << "hot tier    " << tierSummary(*hot_tier) << "\n";
+    serve::FleetConfig fcfg = clusterConfig(args, 1, seed);
+    fcfg.hotTier = hotTierConfig(args);
+
+    serve::TenantFleet baseline = singleServer(tenant, fcfg, topo);
+    out << cfg_model.name << " scaled to "
+        << static_cast<std::size_t>(cfg_model.embeddingBytes()) /
+               (1u << 20)
+        << " MB embeddings, " << cores << " core(s), SLA "
+        << tenant.slaMs << " ms, mean interarrival " << arrival_ms
+        << " ms, precision " << core::embDtypeName(tenant.dtype)
+        << "\n";
+    if (const auto *tier = baseline.hotTier(0, 0))
+        out << "hot tier: " << tier->capacityRows() << " row budget\n";
+
+    const auto pf = core::PrefetchSpec::paperDefault();
+    out << "baseline    "
+        << baseline.serve({work}, pf, &faults).total.summary() << "\n";
+    tenant.degrade.enabled = true;
+    serve::TenantFleet degraded = singleServer(tenant, fcfg, topo);
+    out << "degradation "
+        << degraded.serve({work}, pf, &faults).total.summary() << "\n";
+    if (const auto *tier = degraded.hotTier(0, 0))
+        out << "hot tier    " << tierSummary(*tier) << "\n";
     return 0;
 }
 
@@ -666,38 +712,6 @@ rejectRemoved(const ParsedArgs& args,
                                         " was removed with " + with);
         }
     }
-}
-
-/** The one tenant `router` and `chaos` serve: @p model at --sla, with
- *  the virtual clock priced by the same --service-ms model admission
- *  estimates with. */
-serve::TenantRegistry
-singleTenant(const core::ModelConfig& model, const ParsedArgs& args)
-{
-    serve::TenantConfig tc;
-    tc.name = model.name;
-    tc.model = model;
-    tc.slaMs = args.getDouble("sla", 25.0);
-    tc.service = serve::ServiceModel::constant(
-        args.getDouble("service-ms", 1.0));
-    tc.truth = serve::ServiceTimeline(tc.service);
-    serve::TenantRegistry reg;
-    reg.add(tc);
-    return reg;
-}
-
-/** A batching-off single-tenant fleet of @p instances slots. */
-serve::FleetConfig
-clusterConfig(const ParsedArgs& args, std::size_t instances,
-              std::uint64_t seed)
-{
-    serve::FleetConfig cfg;
-    cfg.instances = instances;
-    cfg.admission = !args.has("no-admission");
-    cfg.maxRetries =
-        static_cast<std::size_t>(args.getInt("retries", 2));
-    cfg.seed = seed;
-    return cfg;
 }
 
 int
@@ -821,57 +835,47 @@ cmdBatch(const ParsedArgs& args, std::ostream& out)
     if (requests == 0)
         throw std::invalid_argument("--requests must be >= 1");
 
-    traces::TraceConfig tc = traces::TraceConfig::forModel(
-        cfg_model, parseHotness(args.get("hotness", "medium")), seed);
-    tc.batchSize = static_cast<std::size_t>(
-        args.getInt("batch-size", 16));
-    traces::TraceGenerator gen(tc);
-    std::vector<core::SparseBatch> batches;
-    for (std::size_t b = 0; b < 16; ++b)
-        batches.push_back(gen.batch(b));
-
-    core::DlrmModel model(cfg_model, seed);
-    core::Tensor dense(tc.batchSize, cfg_model.denseDim());
-    dense.randomize(seed + 1);
-
-    serve::ServerConfig scfg;
-    scfg.slaMs = args.getDouble("sla", 25.0);
-    scfg.maxRetries =
-        static_cast<std::size_t>(args.getInt("retries", 2));
-    scfg.dtype = parseDtypeOption(args);
-    attachQuantized(model, cfg_model, seed, scfg.dtype);
+    const auto work = singleWorkload(cfg_model, args, seed, requests,
+                                     arrival_ms);
+    serve::TenantConfig tenant = tenantOf(cfg_model, args);
+    tenant.dtype = parseDtypeOption(args);
     if (args.has("calibrate")) {
         // Fit {base, per-sample} from real kernel timings on this
         // host instead of assuming a flat per-request cost.
-        scfg.service = serve::calibrateServiceModel(
-            model, dense, batches.front(), {1, 4, 16, tc.batchSize});
+        const core::DlrmModel probe(cfg_model, seed);
+        tenant.service = serve::calibrateServiceModel(
+            probe, work.dense, work.batches.front(),
+            {1, 4, 16, work.dense.rows()});
     } else {
-        scfg.service.baseMs = args.getDouble("service-base-ms", 0.5);
-        scfg.service.perSampleMs =
+        tenant.service.baseMs = args.getDouble("service-base-ms", 0.5);
+        tenant.service.perSampleMs =
             args.getDouble("service-per-sample-ms", 0.05);
     }
+    tenant.truth = serve::ServiceTimeline(tenant.service);
 
-    const auto arrivals =
-        serve::PoissonLoadGen(arrival_ms, seed).arrivals(requests);
     const auto topo = sched::Topology::synthetic(cores, 2);
-    const auto hot_tier = makeHotTier(model, scfg.dtype, args);
+    serve::FleetConfig fcfg = clusterConfig(args, 1, seed);
+    fcfg.hotTier = hotTierConfig(args);
+    serve::TenantFleet unbatched = singleServer(tenant, fcfg, topo);
 
     char mb[96];
     std::snprintf(mb, sizeof(mb),
                   "service = %.4f + %.4f*samples ms",
-                  scfg.service.baseMs, scfg.service.perSampleMs);
+                  tenant.service.baseMs, tenant.service.perSampleMs);
     out << cfg_model.name << " scaled to "
-        << model.embeddingBytes() / (1u << 20) << " MB embeddings, "
-        << cores << " core(s), SLA " << scfg.slaMs << " ms, mean "
-        << "interarrival " << arrival_ms << " ms, precision "
-        << core::embDtypeName(scfg.dtype) << ", " << mb << "\n";
-    if (hot_tier) {
-        out << "hot tier: " << hot_tier->capacityRows()
-            << " row budget\n";
-    }
+        << static_cast<std::size_t>(cfg_model.embeddingBytes()) /
+               (1u << 20)
+        << " MB embeddings, " << cores << " core(s), SLA "
+        << tenant.slaMs << " ms, mean interarrival " << arrival_ms
+        << " ms, precision " << core::embDtypeName(tenant.dtype) << ", "
+        << mb << "\n";
+    if (const auto *tier = unbatched.hotTier(0, 0))
+        out << "hot tier: " << tier->capacityRows() << " row budget\n";
 
     const auto report = [&](const std::string& label,
-                            const serve::ServeStats& st) {
+                            serve::TenantFleet& fleet) {
+        const serve::ServeStats st =
+            fleet.serve({work}).total;
         char buf[192];
         std::snprintf(
             buf, sizeof(buf),
@@ -885,31 +889,25 @@ cmdBatch(const ParsedArgs& args, std::ostream& out)
         out << label << buf << st.summary() << "\n";
     };
 
-    {
-        serve::Server srv(model, topo, scfg);
-        if (hot_tier)
-            srv.attachHotTier(hot_tier);
-        report("unbatched       ",
-               srv.serve(dense, batches, arrivals));
-    }
-    serve::ServerConfig bcfg = scfg;
-    bcfg.batching.enabled = true;
-    bcfg.batching.maxRequests = static_cast<std::size_t>(
+    report("unbatched       ", unbatched);
+    fcfg.batching.enabled = true;
+    fcfg.batching.maxRequests = static_cast<std::size_t>(
         args.getInt("max-requests", 8));
+    std::string tier_line;
     for (const double linger :
          {0.0, args.getDouble("linger-ms", 1.0)}) {
-        bcfg.batching.maxLingerMs = linger;
-        serve::Server srv(model, topo, bcfg);
-        if (hot_tier)
-            srv.attachHotTier(hot_tier);
+        fcfg.batching.maxLingerMs = linger;
+        serve::TenantFleet batched = singleServer(tenant, fcfg, topo);
         char label[48];
         std::snprintf(label, sizeof(label),
                       "batch %zu @ %.1fms ",
-                      bcfg.batching.maxRequests, linger);
-        report(label, srv.serve(dense, batches, arrivals));
+                      fcfg.batching.maxRequests, linger);
+        report(label, batched);
+        if (const auto *tier = batched.hotTier(0, 0))
+            tier_line = tierSummary(*tier);
     }
-    if (hot_tier)
-        out << "hot tier        " << tierSummary(*hot_tier) << "\n";
+    if (!tier_line.empty())
+        out << "hot tier        " << tier_line << "\n";
     return 0;
 }
 
@@ -1195,6 +1193,7 @@ cmdTenants(const ParsedArgs& args, std::ostream& out)
 
     serve::FleetConfig fcfg;
     fcfg.instances = instances;
+    fcfg.batching.enabled = true;
     fcfg.batching.maxRequests = static_cast<std::size_t>(
         args.getInt("max-requests", 4));
     fcfg.batching.maxLingerMs = args.getDouble("linger-ms", 0.2);
