@@ -60,9 +60,11 @@ FaultSchedule::FaultSchedule(std::vector<FaultPhase> phases,
 }
 
 void
-FaultSchedule::validate(std::size_t instances) const
+FaultSchedule::validate(std::size_t instances,
+                        std::size_t cores_per_instance) const
 {
     for (const auto& p : _phases) {
+        p.injector->config().validate(cores_per_instance);
         if (p.instance >= 0 &&
             static_cast<std::size_t>(p.instance) >= instances) {
             throw std::invalid_argument(

@@ -97,14 +97,18 @@ class FaultSchedule
 
     /**
      * Cross-checks the script against a cluster shape: every event's
-     * instance must be < @p instances, and each instance's lifecycle
-     * events must alternate Crash/Recover starting with Crash (an
-     * instance cannot crash twice without recovering, nor recover
-     * without having crashed).
+     * instance must be < @p instances, each phase's FaultConfig must
+     * pass validate(@p cores_per_instance) (a straggler core the
+     * instance does not have would silently never straggle; 0 skips
+     * that check), and each instance's lifecycle events must
+     * alternate Crash/Recover starting with Crash (an instance cannot
+     * crash twice without recovering, nor recover without having
+     * crashed).
      *
      * @throws std::invalid_argument on any violation.
      */
-    void validate(std::size_t instances) const;
+    void validate(std::size_t instances,
+                  std::size_t cores_per_instance = 0) const;
 
     /**
      * The injector governing @p instance at virtual time @p now_ms:

@@ -361,7 +361,7 @@ TenantFleet::serve(const std::vector<TenantWorkload>& work,
         }
     }
     if (schedule)
-        schedule->validate(n_i);
+        schedule->validate(n_i, _coresPerInstance);
     // Reload, scrubbing, block verification and stored-bit flips all
     // act on a version's fp32 store; a quantized floor never reads it.
     for (std::size_t k = 0; k < n_t; ++k) {

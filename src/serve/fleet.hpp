@@ -333,7 +333,10 @@ class TenantFleet
      *
      * @throws std::invalid_argument when the workload count mismatches
      *         the registry, a tenant with arrivals has no batches, the
-     *         schedule fails validate(numInstances()), or a reload
+     *         schedule fails validate(numInstances(),
+     *         coresPerInstance()), a tenant with a quantized floor
+     *         meets a reload, scrubbing, block verification or a
+     *         store-corrupting schedule, or a reload
      *         event fails ReloadManager validation.
      */
     FleetStats serve(const std::vector<TenantWorkload>& work,

@@ -142,6 +142,23 @@ TEST(FaultSchedule, ValidateChecksInstanceRangeAndAlternation)
     }
 }
 
+TEST(FaultSchedule, ValidateRangeChecksEveryPhaseStragglerCore)
+{
+    // A straggler core the instance does not have would silently
+    // never straggle: the cluster shape rejects it.
+    FaultConfig slow;
+    slow.stragglerCore = 7;
+    slow.stragglerFactor = 3.0;
+    std::vector<FaultPhase> phases;
+    phases.push_back({0.0, -1, FaultConfig{}});
+    phases.push_back({5.0, 0, slow});
+    const FaultSchedule s(std::move(phases), {}, {});
+    EXPECT_THROW(s.validate(1, 2), std::invalid_argument);
+    EXPECT_NO_THROW(s.validate(1, 8));
+    // 0 cores per instance skips the range check.
+    EXPECT_NO_THROW(s.validate(1));
+}
+
 TEST(FaultSchedule, CorruptsStoreDetectsBitFlipPhases)
 {
     FaultConfig flip;

@@ -215,6 +215,16 @@ TEST(CliRun, ServeRejectsBadOptions)
                   out, err),
               0);
     EXPECT_NE(run(parse({"serve", "--dtype", "fp64"}), out, err), 0);
+    // A straggler core the instance does not have.
+    std::ostringstream o2, e2;
+    EXPECT_EQ(run(parse({"serve", "--model", "rm1", "--max-bytes",
+                         "2000000", "--requests", "4", "--cores", "2",
+                         "--fault-straggler-core", "7"}),
+                  o2, e2),
+              1);
+    EXPECT_NE(e2.str().find("stragglerCore 7 out of range"),
+              std::string::npos)
+        << e2.str();
 }
 
 TEST(CliRun, ServeQuantizedPrecisionFloorCountsEveryDispatch)
