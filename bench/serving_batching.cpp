@@ -9,10 +9,13 @@
  * dispatch amortizes the fixed cost across its members; the paper's
  * at-scale serving argument (Sec. 6.5) is exactly this trade — batch
  * enough to keep cores efficient, never so much that a member blows
- * its SLA. The headline row is the overloaded regime, where
- * coalescing must deliver >= 1.3x served throughput at an
- * equal-or-better p95. Emits BENCH_serving.json (one record per
- * measured point) into the working directory.
+ * its SLA. The headline row is the overloaded regime: at the most
+ * overloaded arrival rate the best coalescing policy must serve
+ * >= 1.3x the unbatched throughput at an equal-or-better p95, or the
+ * bench exits 1. Throughput and latencies are on the virtual clock
+ * priced by the service model (modeled, not measured). Emits
+ * BENCH_serving.json (one record per measured point) into the working
+ * directory.
  */
 
 #include <cstdio>
@@ -46,7 +49,7 @@ struct Record
     double arrivalMs = 0.0;
     std::size_t served = 0;
     std::size_t shed = 0;
-    double reqPerSec = 0.0;
+    double modeledReqPerSec = 0.0; //!< served / virtual makespan
     double p50 = 0.0;
     double p95 = 0.0;
     double makespanMs = 0.0;
@@ -65,11 +68,12 @@ writeJson(const std::vector<Record>& recs, const char *path)
         std::snprintf(
             buf, sizeof(buf),
             "  {\"name\": \"%s\", \"arrival_ms\": %.3f, "
-            "\"served\": %zu, \"shed\": %zu, \"req_per_sec\": %.2f, "
+            "\"served\": %zu, \"shed\": %zu, "
+            "\"modeled_req_per_sec\": %.2f, "
             "\"p50_ms\": %.4f, \"p95_ms\": %.4f, "
             "\"makespan_ms\": %.4f}%s\n",
             r.name.c_str(), r.arrivalMs, r.served, r.shed,
-            r.reqPerSec, r.p50, r.p95, r.makespanMs,
+            r.modeledReqPerSec, r.p50, r.p95, r.makespanMs,
             i + 1 < recs.size() ? "," : "");
         os << buf;
     }
@@ -128,11 +132,15 @@ main()
 
     std::vector<Record> records;
     std::printf("%-8s %-16s %9s %8s %8s %8s %7s %6s\n", "arr(ms)",
-                "policy", "req/s", "p50", "p95", "p99", "shed%",
+                "policy", "vreq/s", "p50", "p95", "p99", "shed%",
                 "vs.un");
+    // The gate's inputs at the most overloaded (last) arrival rate.
+    double unbatched_rate = 0.0, unbatched_p95 = 0.0;
+    double best_rate = 0.0, best_p95 = 0.0;
+    const char *best = "none";
     for (const double arr : interarrivals) {
         work.arrivalsMs = serve::PoissonLoadGen(arr, 13).arrivals(requests);
-        double unbatched_rate = 0.0;
+        best_rate = 0.0;
         for (const Policy& p : policies) {
             serve::FleetConfig cfg;
             cfg.instances = 1;
@@ -147,8 +155,14 @@ main()
                     ? 1000.0 * static_cast<double>(st.served) /
                           st.makespanMs
                     : 0.0;
-            if (!p.enabled)
+            if (!p.enabled) {
                 unbatched_rate = rate;
+                unbatched_p95 = st.latency.p95();
+            } else if (rate > best_rate) {
+                best_rate = rate;
+                best_p95 = st.latency.p95();
+                best = p.name;
+            }
             std::printf(
                 "%-8.2f %-16s %9.1f %8.2f %8.2f %8.2f %6.1f%% %5.2fx\n",
                 arr, p.name, rate, st.latency.percentile(50.0),
@@ -164,10 +178,19 @@ main()
         }
         std::printf("\n");
     }
-    std::printf("throughput = served / virtual makespan; vs.un = "
-                "speedup over the unbatched policy at the same "
-                "arrival rate.\n");
+    std::printf("vreq/s = served / virtual makespan (modeled by the "
+                "service model, not measured); vs.un = speedup over the "
+                "unbatched policy at the same arrival rate.\n");
 
     writeJson(records, "BENCH_serving.json");
-    return 0;
+
+    const double gain = unbatched_rate > 0.0 ? best_rate / unbatched_rate
+                                             : 0.0;
+    const bool pass = gain >= 1.3 && best_p95 <= unbatched_p95;
+    std::printf("gate at %.2f ms: %s serves %.2fx the unbatched modeled "
+                "throughput (need >= 1.30x), p95 %.2f vs %.2f ms (need "
+                "<=): %s\n",
+                interarrivals.back(), best, gain, best_p95, unbatched_p95,
+                pass ? "PASS" : "FAIL");
+    return pass ? 0 : 1;
 }
