@@ -836,9 +836,9 @@ TenantFleet::serve(const std::vector<TenantWorkload>& work,
             reload.pinned(inst, ten);
         const std::uint64_t pin_fp = pin->fingerprint;
 
-        // Per-member fault resolution before the fused forward (one
-        // poisoned member fails alone, exactly like Server's batched
-        // path).
+        // Per-member fault resolution before the fused forward: one
+        // poisoned or throwing member fails alone while its group
+        // siblings are served.
         const std::size_t rows_k = tc.model.rows;
         const auto& batches_k = work[ten].batches;
         parts.clear();

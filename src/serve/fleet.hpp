@@ -4,12 +4,14 @@
  * isolation, and elastic adaptive capacity over real model execution.
  *
  * The paper's at-scale deployment (Sec. 6.5) runs one independent
- * serving instance per physical core; the TenantFleet is the one
- * cluster loop over such instances. Each instance slot gets a private
+ * serving instance per physical core; TenantFleet::serve is the one
+ * serving loop over such instances. Each instance slot gets a private
  * core group from Topology::partition(), and every request waits in
  * one central queue until the earliest-free core takes it. With a
  * single tenant that is the whole deployment (`dlrmopt router` and
- * `chaos` run exactly that). With several, it answers the question a
+ * `chaos` run exactly that); with one instance too, it is the single
+ * server (`dlrmopt serve` and `batch`). With several tenants, it
+ * answers the question a
  * shared production cluster faces: tenants — each a Tenant binding of
  * model preset, SLA class, fair-share weight and admission budget
  * (serve/tenant.hpp) — multiplexed onto the same instance slots, under
@@ -45,7 +47,12 @@
  * Execution follows the established split: the virtual clock advances
  * on arrivals and the scripted truth while every dispatch really runs
  * as one coalesced forward through the owning (instance, tenant)
- * Server's persistent workspace. A FaultSchedule can overlay the
+ * Server's persistent workspace. One pricing rule holds everywhere:
+ * a dispatch costs its service time times the core's straggler
+ * factor; a degradation tier changes what executes and shrinks the
+ * coalescing cap, never the price. A tenant's precision floor
+ * (TenantConfig::dtype) gets its own quantized store, which its
+ * replicas and hot tiers serve from. A FaultSchedule can overlay the
  * chaos scenarios (instance crashes, stored-row bit flips — applied
  * to every tenant store they fit in, repaired by per-store background
  * scrubbers and, with verifyBlocks, before any member reads a corrupt
