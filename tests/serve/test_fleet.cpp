@@ -586,8 +586,9 @@ TEST_F(FleetTest, PrecisionFloorQuantizesEveryDispatch)
         const FleetStats fs = fleet.serve({work});
         ASSERT_EQ(fs.total.served, 40u) << core::embDtypeName(dtype);
         EXPECT_EQ(fs.total.quantDispatches, fs.total.dispatches);
-        if (coalesce)
+        if (coalesce) {
             EXPECT_LT(fs.total.dispatches, fs.total.served);
+        }
         EXPECT_GT(fs.tierHits, 0u);
 
         core::DlrmModel ref(t.model, cfg.seed);
