@@ -179,28 +179,13 @@ namespace
 
 /**
  * Parses the shared --dtype option (default fp32). parseEmbDtype
- * rejects unknown words; quantized serving sessions additionally
- * attach the matching reduced-precision store via attachQuantized.
+ * rejects unknown words; a quantized precision is served from its own
+ * reduced-precision store (TenantConfig::dtype in serve and batch).
  */
 core::EmbDtype
 parseDtypeOption(const ParsedArgs& args)
 {
     return core::parseEmbDtype(args.get("dtype", "fp32"));
-}
-
-/**
- * Attaches a freshly quantized store of @p dtype to @p model so the
- * session's fused-dequant bags read real reduced-precision bytes
- * instead of falling back to fp32 storage. No-op for fp32.
- */
-void
-attachQuantized(core::DlrmModel& model, const core::ModelConfig& cfg,
-                std::uint64_t seed, core::EmbDtype dtype)
-{
-    if (dtype == core::EmbDtype::Fp32)
-        return;
-    model.attachQuantizedStore(
-        core::EmbeddingStore::create(cfg, seed, 256, dtype));
 }
 
 /**
@@ -933,7 +918,10 @@ cmdCache(const ParsedArgs& args, std::ostream& out)
     const core::EmbDtype dtype = parseDtypeOption(args);
 
     core::DlrmModel model(cfg_model, seed);
-    attachQuantized(model, cfg_model, seed, dtype);
+    if (dtype != core::EmbDtype::Fp32) {
+        model.attachQuantizedStore(
+            core::EmbeddingStore::create(cfg_model, seed, 256, dtype));
+    }
     const auto& store = model.sharedStoreFor(dtype);
 
     core::HotTierConfig hc;
