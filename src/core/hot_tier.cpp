@@ -4,8 +4,10 @@
 #include "core/simd.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -16,15 +18,30 @@ namespace dlrmopt::core
 namespace
 {
 
-/** FNV-1a 64 fold, resumable across spans (slot payloads chain into
- *  one per-block sum). */
+constexpr std::uint64_t fnvPrime = 1099511628211ULL;
+
+/**
+ * FNV-1a 64 fold over 8-byte words with a byte tail, resumable across
+ * spans (slot payloads chain into one per-block sum). XOR then an odd
+ * multiply is a bijection on 64 bits, so any change confined to one
+ * word always changes the sum. Tier sums are never persisted or
+ * compared with the cold store's byte-wise sums.
+ */
 inline std::uint64_t
 fnv1a(const void *data, std::size_t len, std::uint64_t h)
 {
     const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < len; ++i) {
+    std::size_t i = 0;
+    for (; i + sizeof(std::uint64_t) <= len;
+         i += sizeof(std::uint64_t)) {
+        std::uint64_t w;
+        std::memcpy(&w, p + i, sizeof(w));
+        h ^= w;
+        h *= fnvPrime;
+    }
+    for (; i < len; ++i) {
         h ^= p[i];
-        h *= 1099511628211ULL;
+        h *= fnvPrime;
     }
     return h;
 }
@@ -146,6 +163,23 @@ HotTierCache::bag(std::size_t table, const RowIndex *indices,
         }
     }
 
+    // The first out-of-range lookup, found up front so the walk below
+    // needs no range check and no throw: it stops there, leaving the
+    // counters of the lookups before it bumped exactly as an in-walk
+    // throw would, and the throw follows once they are tracked.
+    const std::size_t first = static_cast<std::size_t>(offsets[0]);
+    std::size_t bad = total;
+    std::uint64_t max_index = 0;
+    for (std::size_t s = first; s < total; ++s)
+        max_index = std::max(max_index,
+                             static_cast<std::uint64_t>(indices[s]));
+    if (max_index >= static_cast<std::uint64_t>(_rows)) {
+        bad = first;
+        while (static_cast<std::uint64_t>(indices[bad]) <
+               static_cast<std::uint64_t>(_rows))
+            ++bad;
+    }
+
     std::uint64_t local_hits = 0, local_misses = 0;
     {
         std::shared_lock<std::shared_mutex> lk(_mu);
@@ -161,12 +195,21 @@ HotTierCache::bag(std::size_t table, const RowIndex *indices,
             : 0;
 
         std::vector<const std::uint8_t *> row_ptrs;
+        // Rows this bag lifts off a zero counter, appended to the
+        // tracked-row list once per bag. A plain buffer with room for
+        // every lookup keeps the walk free of calls: a push_back's
+        // reallocation path made the compiler spill the walk's
+        // registers, which cost about 10% of a bag.
+        const auto fresh =
+            std::make_unique_for_overwrite<std::size_t[]>(total);
+        std::size_t fresh_n = 0;
         for (std::size_t i = 0; i < samples; ++i) {
             float *out_ptr = out + i * tbl.dim();
             const std::size_t begin =
                 static_cast<std::size_t>(offsets[i]);
-            const std::size_t end =
+            const std::size_t stop =
                 static_cast<std::size_t>(offsets[i + 1]);
+            const std::size_t end = std::min(stop, bad);
             const std::size_t n = end - begin;
             row_ptrs.resize(n);
             // Phase 1: resolve every lookup to pinned-or-cold bytes.
@@ -174,14 +217,6 @@ HotTierCache::bag(std::size_t table, const RowIndex *indices,
             // get their prefetch issued here, well before phase 2
             // gathers them.
             for (std::size_t s = begin; s < end; ++s) {
-                if (static_cast<std::uint64_t>(indices[s]) >=
-                    static_cast<std::uint64_t>(_rows)) {
-                    throw IndexError(
-                        "embedding_bag: index " +
-                        std::to_string(indices[s]) +
-                        " out of range [0, " + std::to_string(_rows) +
-                        ") at lookup " + std::to_string(s));
-                }
                 const std::size_t idx =
                     static_cast<std::size_t>(indices[s]);
                 RowMeta& m = meta[idx];
@@ -190,9 +225,11 @@ HotTierCache::bag(std::size_t table, const RowIndex *indices,
                 // Concurrent bags may lose increments, which only
                 // perturbs a heuristic — admission needs row *ranks*,
                 // not exact counts.
-                m.count.store(m.count.load(std::memory_order_relaxed) +
-                                  1,
-                              std::memory_order_relaxed);
+                const std::uint32_t c =
+                    m.count.load(std::memory_order_relaxed);
+                if (c == 0)
+                    fresh[fresh_n++] = idx;
+                m.count.store(c + 1, std::memory_order_relaxed);
                 // One load, one branch: the pointer already folds in
                 // the resident and block-clean tests, and shares the
                 // counter's cache line. A pinned row is contiguous,
@@ -220,6 +257,8 @@ HotTierCache::bag(std::size_t table, const RowIndex *indices,
                 }
                 row_ptrs[s - begin] = row;
             }
+            if (bad < stop)
+                break; // the bad lookup's sample is never pooled
             // Phase 2: register-blocked walk over the resolved
             // pointers — pool in registers, store out once. The
             // per-lane chain matches the per-row kernels, so hitting
@@ -273,6 +312,13 @@ HotTierCache::bag(std::size_t table, const RowIndex *indices,
                 }
             }
         }
+        trackRows(table, fresh.get(), fresh_n);
+    }
+    if (bad < total) {
+        throw IndexError("embedding_bag: index " +
+                         std::to_string(indices[bad]) +
+                         " out of range [0, " + std::to_string(_rows) +
+                         ") at lookup " + std::to_string(bad));
     }
     _hits.fetch_add(local_hits, std::memory_order_relaxed);
     _misses.fetch_add(local_misses, std::memory_order_relaxed);
@@ -290,19 +336,36 @@ HotTierCache::recordAccess(std::size_t table, RowIndex row,
             "HotTierCache::recordAccess: (" + std::to_string(table) +
             ", " + std::to_string(row) + ") out of range");
     }
-    _meta[flat(table, static_cast<std::size_t>(row))].count.fetch_add(
-        n, std::memory_order_relaxed);
+    // Shared, so the append below cannot race an epoch's rewrite of
+    // the tracked-row list.
+    std::shared_lock<std::shared_mutex> lk(_mu);
+    const auto r = static_cast<std::size_t>(row);
+    if (_meta[flat(table, r)].count.fetch_add(
+            n, std::memory_order_relaxed) == 0 &&
+        n != 0)
+        trackRows(table, &r, 1);
 }
 
-bool
-HotTierCache::isResident(std::size_t table, RowIndex row) const
+void
+HotTierCache::trackRows(std::size_t table, const std::size_t *rows,
+                        std::size_t n)
+{
+    if (n == 0)
+        return;
+    std::lock_guard<std::mutex> g(_trackMu);
+    for (std::size_t k = 0; k < n; ++k)
+        _tracked.push_back(flat(table, rows[k]));
+}
+
+std::int32_t
+HotTierCache::slotOf(std::size_t table, RowIndex row) const
 {
     if (table >= _tables ||
         static_cast<std::uint64_t>(row) >=
             static_cast<std::uint64_t>(_rows))
-        return false;
+        return -1;
     std::shared_lock<std::shared_mutex> lk(_mu);
-    return _slotOf[flat(table, static_cast<std::size_t>(row))] >= 0;
+    return _slotOf[flat(table, static_cast<std::size_t>(row))];
 }
 
 std::uint32_t
@@ -334,7 +397,14 @@ void
 HotTierCache::endEpoch()
 {
     std::unique_lock<std::shared_mutex> lk(_mu);
+    const auto t0 = std::chrono::steady_clock::now();
     runEpochLocked();
+    const auto ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    _epochNs += ns;
+    _epochMaxNs = std::max(_epochMaxNs, ns);
 }
 
 void
@@ -346,17 +416,38 @@ HotTierCache::runEpochLocked()
         std::uint32_t table;
         std::uint32_t row;
     };
-    const std::size_t n = _tables * _rows;
+    if (++_stamp == 0) {
+        // The stamp wrapped: clear every row's so none aliases it.
+        for (std::size_t i = 0; i < _tables * _rows; ++i)
+            _meta[i].stamp = 0;
+        _stamp = 1;
+    }
+    // One fused pass over the tracked rows (every row with a nonzero
+    // counter): read each counter once, collect it as a candidate on
+    // its pre-decay value, store the decayed value, and keep the row
+    // tracked only while that value is nonzero. Untracked counters
+    // are zero, below any minAccesses, and decay to zero, so the pass
+    // leaves every counter exactly where a full scan would.
     std::vector<Cand> cand;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t c =
-            _meta[i].count.load(std::memory_order_relaxed);
+    std::size_t kept = 0;
+    for (const std::size_t i : _tracked) {
+        RowMeta& m = _meta[i];
+        if (m.stamp == _stamp)
+            continue; // a duplicate entry, already visited
+        m.stamp = _stamp;
+        const std::uint32_t c = m.count.load(std::memory_order_relaxed);
         if (c >= _cfg.minAccesses)
             cand.push_back({c, static_cast<std::uint32_t>(i / _rows),
                             static_cast<std::uint32_t>(i % _rows)});
+        const auto d = static_cast<std::uint32_t>(
+            static_cast<double>(c) * _cfg.decay);
+        m.count.store(d, std::memory_order_relaxed);
+        if (d != 0)
+            _tracked[kept++] = i;
     }
+    _tracked.resize(kept);
     // Strict-weak order with a (table, row) tie-break: the selected
-    // set is a pure function of the counters, never of scan luck.
+    // set is a pure function of the counters, never of scan order.
     auto hotter = [](const Cand& a, const Cand& b) {
         if (a.count != b.count)
             return a.count > b.count;
@@ -405,14 +496,6 @@ HotTierCache::runEpochLocked()
     for (std::size_t b = 0; b < _numBlocks; ++b) {
         _blockSums[b] = computeBlockSum(b);
         _blockBad[b] = 0;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t c =
-            _meta[i].count.load(std::memory_order_relaxed);
-        _meta[i].count.store(
-            static_cast<std::uint32_t>(static_cast<double>(c) *
-                                       _cfg.decay),
-            std::memory_order_relaxed);
     }
     ++_epochs;
     _sinceEpoch.store(0, std::memory_order_relaxed);
@@ -616,9 +699,10 @@ HotTierCache::reset()
         _blockSums[b] = fnvOffsetBasis;
         _blockBad[b] = 0;
     }
-    const std::size_t n = _tables * _rows;
-    for (std::size_t i = 0; i < n; ++i)
+    // Only tracked rows can hold a nonzero counter.
+    for (const std::size_t i : _tracked)
         _meta[i].count.store(0, std::memory_order_relaxed);
+    _tracked.clear();
     _sinceEpoch.store(0, std::memory_order_relaxed);
 }
 
@@ -632,6 +716,8 @@ HotTierCache::stats() const
     s.promotions = _promotions;
     s.demotions = _demotions;
     s.epochs = _epochs;
+    s.epochNs = _epochNs;
+    s.epochMaxNs = _epochMaxNs;
     s.blocksScrubbed = _scrubbed;
     s.corruptionsFound = _corruptions;
     s.blocksRepaired = _repaired;

@@ -27,7 +27,9 @@
  *    trigger, or an explicit call) the top rows by count are promoted
  *    and stale residents demoted, with counters decayed so the tier
  *    tracks hot-set drift mid-session instead of fossilizing the
- *    first hour's hot set.
+ *    first hour's hot set. An epoch walks only the rows whose counter
+ *    is nonzero (a tracked-row list the lookups append to), so its
+ *    cost follows the rows the window touched, not tables x rows.
  *
  *  - **Tiered integrity.** The tier is one more DRAM-resident copy,
  *    so it checksums like the cold store: per-block FNV-1a sums over
@@ -45,6 +47,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <vector>
 
@@ -108,6 +111,9 @@ struct HotTierStats
     std::uint64_t promotions = 0;  //!< rows newly pinned at an epoch
     std::uint64_t demotions = 0;   //!< rows evicted at an epoch
     std::uint64_t epochs = 0;      //!< promotion/demotion passes run
+    std::uint64_t epochNs = 0;     //!< wall time inside every epoch's
+                                   //!< exclusive section, summed
+    std::uint64_t epochMaxNs = 0;  //!< longest single epoch
 
     std::uint64_t blocksScrubbed = 0;
     std::uint64_t corruptionsFound = 0;
@@ -126,6 +132,16 @@ struct HotTierStats
                       : static_cast<double>(hits) / static_cast<double>(n);
     }
 
+    /** Mean wall time of one epoch in milliseconds (0 before the
+     *  first epoch). */
+    double
+    epochMeanMs() const
+    {
+        return epochs == 0 ? 0.0
+                           : static_cast<double>(epochNs) / 1e6 /
+                                 static_cast<double>(epochs);
+    }
+
     double
     occupancy() const
     {
@@ -139,11 +155,20 @@ struct HotTierStats
 /**
  * Per-instance replicated hot tier over one shared EmbeddingStore.
  *
- * Thread model: bag() and the read-only queries take a shared lock
- * (any number of serving threads probe concurrently; counters are
- * relaxed atomics). Epoch rebuilds, scrubbing, repair, retargeting,
- * and fault injection take the exclusive lock — promotion/demotion is
- * a stop-the-world swap, never a torn read.
+ * Thread model: bag(), recordAccess() and the read-only queries take
+ * a shared lock (any number of serving threads probe concurrently;
+ * counters are relaxed atomics). A lookup that finds a row's counter
+ * at zero queues the row for the tracked-row list; each bag() appends
+ * its queue once, under a small list mutex, still inside its shared
+ * section. Epoch rebuilds, scrubbing, repair, retargeting, reset and
+ * fault injection take the exclusive lock — promotion/demotion is a
+ * stop-the-world swap, never a torn read, and no append can race the
+ * epoch's rewrite of the list.
+ *
+ * An epoch makes one fused pass over the tracked rows, collecting
+ * candidates and decaying their counters, then rewrites every slot
+ * in hotness order (slot j holds the j-th hottest row) and
+ * re-checksums every block.
  */
 class HotTierCache
 {
@@ -215,7 +240,15 @@ class HotTierCache
                       std::uint32_t n = 1);
 
     /** True when (table, row) is currently pinned. */
-    bool isResident(std::size_t table, RowIndex row) const;
+    bool isResident(std::size_t table, RowIndex row) const
+    {
+        return slotOf(table, row) >= 0;
+    }
+
+    /** Slot pinning (table, row), or -1 when it is not resident (or
+     *  out of range). The last epoch put its j-th hottest row in slot
+     *  j. */
+    std::int32_t slotOf(std::size_t table, RowIndex row) const;
 
     /** Current admission-counter value of (table, row). */
     std::uint32_t accessCount(std::size_t table, RowIndex row) const;
@@ -225,7 +258,9 @@ class HotTierCache
      * capacityRows() rows by access count (those with at least
      * cfg.minAccesses), evicts the rest, copies bytes verbatim from
      * the cold store, rebuilds tier checksums, clears quarantines,
-     * and decays every counter by cfg.decay.
+     * and decays every counter by cfg.decay (floor(count * decay)).
+     * Costs O(rows with a nonzero counter + resident rows), not
+     * O(tables x rows).
      */
     void endEpoch();
 
@@ -317,6 +352,8 @@ class HotTierCache
     std::uint64_t computeBlockSum(std::size_t b) const;
     void repairBlockLocked(std::size_t b);
     void setBlockPtrsLocked(std::size_t b, bool present);
+    void trackRows(std::size_t table, const std::size_t *rows,
+                   std::size_t n);
     void runEpochLocked();
     void maybeEndEpoch(std::size_t lookups);
 
@@ -351,14 +388,29 @@ class HotTierCache
      * every transition, all of which hold the exclusive lock) next to
      * the admission counter, deliberately on the same cache line so a
      * bag lookup's probe and counter bump touch one line, not two
-     * scattered arrays.
+     * scattered arrays. The spare tail word holds the stamp of the
+     * last epoch that visited the row, which drops duplicate entries
+     * of the tracked-row list (only the epoch touches it).
      */
     struct RowMeta
     {
         const std::uint8_t *ptr = nullptr;
         std::atomic<std::uint32_t> count{0};
+        std::uint32_t stamp = 0;
     };
+    static_assert(sizeof(RowMeta) == 16, "RowMeta must stay 16 bytes");
     std::unique_ptr<RowMeta[]> _meta; //!< [table*rows]
+
+    /**
+     * Flat indices of every row whose counter is nonzero, possibly
+     * twice: two bags racing on a row's first lookup may both append
+     * it.
+     * Appends hold the shared lock plus _trackMu; the epoch and
+     * reset() rewrite it under the exclusive lock.
+     */
+    std::vector<std::size_t> _tracked;
+    std::mutex _trackMu;
+    std::uint32_t _stamp = 0; //!< last epoch stamp handed out
     std::vector<std::uint64_t> _blockSums;
     std::vector<unsigned char> _blockBad; //!< quarantine flags
     std::size_t _scrubCursor = 0;
@@ -370,6 +422,8 @@ class HotTierCache
     std::uint64_t _promotions = 0; //!< guarded by _mu (exclusive)
     std::uint64_t _demotions = 0;
     std::uint64_t _epochs = 0;
+    std::uint64_t _epochNs = 0;
+    std::uint64_t _epochMaxNs = 0;
     std::uint64_t _scrubbed = 0;
     std::uint64_t _corruptions = 0;
     std::uint64_t _repaired = 0;

@@ -6,16 +6,19 @@
  * after the hot set drifts, a flipped tier bit must be quarantined
  * and repaired with zero wrong outputs (the cold store stays the
  * source of truth one tier down), retargeting must carry the resident
- * set onto a new version's bytes, and the concurrent
- * bag x epoch x scrub x retarget interleaving must stay torn-free
- * (exercised under TSan via the sanitize-threads preset).
+ * set onto a new version's bytes, every epoch must select, lay out
+ * and decay exactly what a full scan of every counter would, and the
+ * concurrent bag x epoch x scrub x retarget interleaving must stay
+ * torn-free (exercised under TSan via the sanitize-threads preset).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -569,6 +572,262 @@ TEST(HotTier, FullForwardIsBitwiseIdenticalTierOnOff)
 }
 
 /**
+ * Scalar reference for the tier's admission state: one counter per
+ * row and the pinned rows in slot order. Its epoch is the full scan
+ * over every table x row counter the tier used to run, so any row the
+ * tier's tracked-row list misses shows up as a different selection or
+ * a counter that failed to decay.
+ */
+struct FullScanReference
+{
+    struct Pin
+    {
+        std::uint32_t table;
+        std::uint32_t row;
+    };
+
+    std::size_t tables, rows, capacity, epochLookups;
+    std::uint32_t minAccesses;
+    double decay;
+    std::vector<std::uint32_t> count; //!< [table*rows + row]
+    std::vector<Pin> slots;           //!< slot order
+    std::uint64_t promotions = 0, demotions = 0, epochs = 0;
+    std::uint64_t sinceEpoch = 0;
+
+    FullScanReference(std::size_t t, std::size_t r, std::size_t cap,
+                      const HotTierConfig& hc)
+        : tables(t), rows(r), capacity(cap),
+          epochLookups(hc.epochLookups), minAccesses(hc.minAccesses),
+          decay(hc.decay), count(t * r, 0)
+    {
+    }
+
+    /** A single-threaded bag: +1 per lookup up to the first
+     *  out-of-range index (which throws before any epoch runs), then
+     *  the lookup-count epoch trigger. Returns false when it threw. */
+    bool
+    bag(std::size_t table, const std::vector<RowIndex>& indices)
+    {
+        for (const RowIndex i : indices) {
+            if (static_cast<std::size_t>(i) >= rows)
+                return false;
+            ++count[table * rows + static_cast<std::size_t>(i)];
+        }
+        const std::uint64_t prev = sinceEpoch;
+        sinceEpoch += indices.size();
+        if (epochLookups != 0 && prev < epochLookups &&
+            sinceEpoch >= epochLookups)
+            epoch();
+        return true;
+    }
+
+    void
+    epoch()
+    {
+        struct Cand
+        {
+            std::uint32_t count, table, row;
+        };
+        std::vector<Cand> cand;
+        for (std::size_t i = 0; i < count.size(); ++i) {
+            if (count[i] >= minAccesses)
+                cand.push_back({count[i],
+                                static_cast<std::uint32_t>(i / rows),
+                                static_cast<std::uint32_t>(i % rows)});
+        }
+        auto hotter = [](const Cand& a, const Cand& b) {
+            if (a.count != b.count)
+                return a.count > b.count;
+            if (a.table != b.table)
+                return a.table < b.table;
+            return a.row < b.row;
+        };
+        if (cand.size() > capacity) {
+            std::nth_element(cand.begin(),
+                             cand.begin() +
+                                 static_cast<std::ptrdiff_t>(capacity),
+                             cand.end(), hotter);
+            cand.resize(capacity);
+        }
+        std::sort(cand.begin(), cand.end(), hotter);
+        std::size_t survivors = 0;
+        for (const Cand& c : cand) {
+            for (const Pin& p : slots)
+                survivors += p.table == c.table && p.row == c.row;
+        }
+        promotions += cand.size() - survivors;
+        demotions += slots.size() - survivors;
+        slots.clear();
+        for (const Cand& c : cand)
+            slots.push_back({c.table, c.row});
+        for (std::uint32_t& c : count)
+            c = static_cast<std::uint32_t>(static_cast<double>(c) *
+                                           decay);
+        ++epochs;
+        sinceEpoch = 0;
+    }
+
+    void
+    reset()
+    {
+        slots.clear();
+        std::fill(count.begin(), count.end(), 0u);
+        sinceEpoch = 0;
+    }
+};
+
+/** Asserts @p tier's resident set, slot order, stats and every
+ *  counter equal @p ref's. */
+void
+expectMatchesReference(const HotTierCache& tier,
+                       const FullScanReference& ref,
+                       const std::string& where)
+{
+    const HotTierStats st = tier.stats();
+    ASSERT_EQ(st.epochs, ref.epochs) << where;
+    ASSERT_EQ(st.residentRows, ref.slots.size()) << where;
+    EXPECT_EQ(st.promotions, ref.promotions) << where;
+    EXPECT_EQ(st.demotions, ref.demotions) << where;
+    for (std::size_t j = 0; j < ref.slots.size(); ++j) {
+        ASSERT_EQ(tier.slotOf(ref.slots[j].table, ref.slots[j].row),
+                  static_cast<std::int32_t>(j))
+            << where << ": slot " << j;
+    }
+    for (std::size_t t = 0; t < ref.tables; ++t) {
+        for (std::size_t r = 0; r < ref.rows; ++r) {
+            const auto row = static_cast<RowIndex>(r);
+            ASSERT_EQ(tier.accessCount(t, row),
+                      ref.count[t * ref.rows + r])
+                << where << ": counter (" << t << ", " << r << ")";
+        }
+    }
+}
+
+TEST(HotTier, EpochMatchesFullScanReference)
+{
+    // Seeded random configs drive the tier and the full-scan
+    // reference through the same interleaving of bags (some throwing
+    // on a bad index), recordAccess, epochs (explicit and
+    // lookup-triggered), reset and retarget.
+    struct Rng
+    {
+        std::uint64_t s;
+        std::size_t
+        below(std::size_t n)
+        {
+            return static_cast<std::size_t>(dlrmopt::mix64(s++) % n);
+        }
+    };
+    constexpr std::size_t configs = 240;
+    for (std::size_t cfg = 0; cfg < configs; ++cfg) {
+        Rng rng{0x5eed0000 + cfg * 7919};
+        ModelConfig m = tinyModel();
+        m.tables = 1 + rng.below(3);
+        m.rows = 40 + rng.below(400);
+        m.dim = 8;
+        const EmbDtype dt = static_cast<EmbDtype>(rng.below(3));
+        const auto v1 = EmbeddingStore::create(m, 11 + cfg, 16, dt);
+        const auto v2 = EmbeddingStore::create(m, 12 + cfg, 16, dt);
+
+        HotTierConfig hc;
+        hc.minAccesses = static_cast<std::uint32_t>(1 + rng.below(4));
+        hc.decay = std::vector<double>{0.0, 0.5, 0.9}[rng.below(3)];
+        hc.blockRows = 1 + rng.below(16);
+        hc.epochLookups = rng.below(2) ? 0 : 20 + rng.below(200);
+        // Capacity from a couple of rows (far below the candidate
+        // count) to more rows than the bags ever touch.
+        const std::size_t stride =
+            HotTierCache(v1, hc).slotStride(); // budget 0: probe only
+        const std::size_t cap =
+            rng.below(2) ? 1 + rng.below(8) : 16 + rng.below(400);
+        hc.budgetBytes = cap * stride;
+        HotTierCache tier(v1, hc);
+        ASSERT_EQ(tier.capacityRows(),
+                  std::min(cap, m.tables * m.rows));
+        FullScanReference ref(m.tables, m.rows, tier.capacityRows(),
+                              hc);
+        // A small hot window per config, so counts tie often.
+        const std::size_t hot = 1 + rng.below(24);
+        bool on_v2 = false;
+
+        const std::string where = "config " + std::to_string(cfg);
+        for (std::size_t op = 0; op < 40; ++op) {
+            const std::size_t kind = rng.below(20);
+            const std::uint64_t epochs_before = ref.epochs;
+            const std::size_t t = rng.below(m.tables);
+            if (kind < 11) {
+                const std::size_t samples = 1 + rng.below(4);
+                std::vector<RowIndex> idx, off{0};
+                for (std::size_t s = 0; s < samples; ++s) {
+                    const std::size_t n = rng.below(6);
+                    for (std::size_t l = 0; l < n; ++l) {
+                        idx.push_back(static_cast<RowIndex>(
+                            rng.below(4) ? rng.below(hot)
+                                         : rng.below(m.rows)));
+                    }
+                    off.push_back(static_cast<RowIndex>(idx.size()));
+                }
+                if (kind == 0 && !idx.empty())
+                    idx[rng.below(idx.size())] =
+                        static_cast<RowIndex>(m.rows);
+                std::vector<float> got(samples * m.dim),
+                    want(samples * m.dim);
+                if (!ref.bag(t, idx)) {
+                    EXPECT_THROW(tier.bag(t, idx.data(), off.data(),
+                                          samples, got.data()),
+                                 IndexError);
+                    continue;
+                }
+                tier.bag(t, idx.data(), off.data(), samples,
+                         got.data());
+                (on_v2 ? v2 : v1)
+                    ->table(t)
+                    .bag(idx.data(), off.data(), samples, want.data());
+                ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                      got.size() * sizeof(float)),
+                          0)
+                    << where;
+            } else if (kind < 15) {
+                const auto row = static_cast<RowIndex>(
+                    rng.below(2) ? rng.below(hot) : rng.below(m.rows));
+                std::uint32_t& c =
+                    ref.count[t * m.rows + static_cast<std::size_t>(row)];
+                // kind 14 wraps the counter to exactly zero, so the
+                // row's next bump tracks it a second time: the epoch
+                // must visit the duplicate entry once.
+                const std::uint32_t n =
+                    kind == 14 ? 0u - c
+                               : static_cast<std::uint32_t>(rng.below(6));
+                tier.recordAccess(t, row, n);
+                c += n;
+            } else if (kind < 18) {
+                tier.endEpoch();
+                ref.epoch();
+            } else if (kind == 18) {
+                tier.reset();
+                ref.reset();
+            } else {
+                on_v2 = !on_v2;
+                ASSERT_TRUE(tier.retarget(on_v2 ? v2 : v1));
+            }
+            if (kind >= 15 || ref.epochs != epochs_before ||
+                tier.stats().epochs != ref.epochs) {
+                expectMatchesReference(tier, ref,
+                                       where + ", op " +
+                                           std::to_string(op));
+            }
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        tier.endEpoch();
+        ref.epoch();
+        expectMatchesReference(tier, ref, where + ", final epoch");
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+/**
  * Concurrency: serving bags race promotion/demotion epochs, the
  * scrubber, bit flips, and a retarget. Run under
  * -DCMAKE_CXX_FLAGS=-fsanitize=thread (the sanitize-threads preset)
@@ -602,6 +861,7 @@ TEST(HotTier, ConcurrentBagsEpochsScrubAndRetargetStayCoherent)
     for (int w = 0; w < 2; ++w) {
         workers.emplace_back([&, w] {
             std::vector<float> out(8 * m.dim);
+            std::vector<RowIndex> fresh_idx, fresh_off;
             for (int i = 0; i < 300; ++i) {
                 tier.bag(0, idx.data(), off.data(), 8, out.data());
                 if (std::memcmp(out.data(), want.data(),
@@ -609,6 +869,18 @@ TEST(HotTier, ConcurrentBagsEpochsScrubAndRetargetStayCoherent)
                     wrong.fetch_add(1);
                 tier.recordAccess(0, static_cast<RowIndex>(
                                          (w * 331 + i) % m.rows));
+                // Rows the tier has never seen, through both entry
+                // points, while epochs run: each must join the
+                // tracked-row list, or the final epoch below misses
+                // it.
+                tier.recordAccess(1 + w % 2,
+                                  static_cast<RowIndex>(
+                                      (w * 977 + i * 13) % m.rows),
+                                  1 + static_cast<std::uint32_t>(i % 3));
+                makeBag(m, 2, 5000 + w * 1000 + i, 1024, 900,
+                        fresh_idx, fresh_off);
+                tier.bag(2 - w % 2, fresh_idx.data(), fresh_off.data(),
+                         2, out.data());
             }
         });
     }
@@ -639,6 +911,40 @@ TEST(HotTier, ConcurrentBagsEpochsScrubAndRetargetStayCoherent)
     EXPECT_EQ(std::memcmp(out.data(), want.data(),
                           out.size() * sizeof(float)),
               0);
+
+    // Quiesced: a final epoch must select, in slot order, exactly
+    // what a full scan of the counters read just before it selects,
+    // and decay every counter. A row the racing bags or recordAccess
+    // calls bumped off zero but never tracked would be missing.
+    FullScanReference ref(m.tables, m.rows, tier.capacityRows(), hc);
+    for (std::size_t t = 0; t < m.tables; ++t) {
+        for (std::size_t r = 0; r < m.rows; ++r)
+            ref.count[t * m.rows + r] =
+                tier.accessCount(t, static_cast<RowIndex>(r));
+    }
+    const HotTierStats before = tier.stats();
+    ref.promotions = before.promotions;
+    ref.demotions = before.demotions;
+    ref.epochs = before.epochs;
+    ref.slots.resize(before.residentRows);
+    std::size_t pinned = 0;
+    for (std::size_t t = 0; t < m.tables; ++t) {
+        for (std::size_t r = 0; r < m.rows; ++r) {
+            const std::int32_t j =
+                tier.slotOf(t, static_cast<RowIndex>(r));
+            if (j < 0)
+                continue;
+            ASSERT_LT(static_cast<std::size_t>(j), ref.slots.size());
+            ref.slots[static_cast<std::size_t>(j)] = {
+                static_cast<std::uint32_t>(t),
+                static_cast<std::uint32_t>(r)};
+            ++pinned;
+        }
+    }
+    ASSERT_EQ(pinned, before.residentRows);
+    tier.endEpoch();
+    ref.epoch();
+    expectMatchesReference(tier, ref, "after the concurrent run");
 }
 
 } // namespace
