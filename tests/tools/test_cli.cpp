@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cli.hpp"
 
@@ -215,6 +216,20 @@ TEST(CliRun, ServeRejectsBadOptions)
                   out, err),
               0);
     EXPECT_NE(run(parse({"serve", "--dtype", "fp64"}), out, err), 0);
+    for (const std::vector<std::string>& bad :
+         {std::vector<std::string>{"--cache-budget", "-5"},
+          {"--cache-epoch-lookups", "-1"},
+          {"--cache-min-accesses", "-1"}}) {
+        std::ostringstream o, e;
+        EXPECT_EQ(run(parse({"serve", "--model", "rm1", "--max-bytes",
+                             "2000000", "--requests", "4",
+                             "--cache-budget", "262144",
+                             bad[0].c_str(), bad[1].c_str()}),
+                      o, e),
+                  1)
+            << bad[0] << " " << bad[1];
+        EXPECT_NE(e.str().find(bad[0]), std::string::npos) << e.str();
+    }
     // A straggler core the instance does not have.
     std::ostringstream o2, e2;
     EXPECT_EQ(run(parse({"serve", "--model", "rm1", "--max-bytes",
@@ -542,6 +557,7 @@ TEST(CliRun, CacheReportsPerClassHitRatesAndTotals)
     EXPECT_NE(s.find("Low"), std::string::npos);
     EXPECT_NE(s.find("total: hit "), std::string::npos);
     EXPECT_NE(s.find("resident"), std::string::npos);
+    EXPECT_NE(s.find("| epoch mean "), std::string::npos);
 }
 
 TEST(CliRun, CacheRunsAtEveryStoragePrecision)
@@ -568,6 +584,25 @@ TEST(CliRun, CacheRejectsBadOptions)
         run(parse({"cache", "--cache-min-accesses", "0"}), out, err),
         0);
     EXPECT_NE(run(parse({"cache", "--dtype", "fp64"}), out, err), 0);
+    // Negative sizes and counts used to wrap to huge unsigned values
+    // (a whole-table tier, loop counts near 2^64, a minAccesses no
+    // row reaches); each must be refused before any model is built.
+    for (const std::vector<std::string>& bad :
+         {std::vector<std::string>{"--cache-budget", "-5"},
+          {"--cache-budget", "nan"},
+          {"--cache-budget", "1e30"},
+          {"--cache-min-accesses", "-1"},
+          {"--cache-min-accesses", "4294967296"},
+          {"--batches", "-1"},
+          {"--warm-batches", "-1"},
+          {"--batch-size", "-1"}}) {
+        std::ostringstream o, e;
+        EXPECT_EQ(run(parse({"cache", bad[0].c_str(), bad[1].c_str()}),
+                      o, e),
+                  1)
+            << bad[0] << " " << bad[1];
+        EXPECT_NE(e.str().find(bad[0]), std::string::npos) << e.str();
+    }
 }
 
 TEST(CliRun, ServeAttachesAHotTierFromCacheBudget)

@@ -1,6 +1,7 @@
 #include "cli.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -73,6 +74,32 @@ ParsedArgs::getDouble(const std::string& key, double fallback) const
                                     " wants a number, got '" +
                                     it->second + "'");
     }
+}
+
+std::size_t
+ParsedArgs::getCount(const std::string& key, std::size_t fallback) const
+{
+    if (!has(key))
+        return fallback;
+    const long v = getInt(key, 0);
+    if (v < 0) {
+        throw std::invalid_argument("--" + key + " must be >= 0, got " +
+                                    std::to_string(v));
+    }
+    return static_cast<std::size_t>(v);
+}
+
+std::size_t
+ParsedArgs::getBytes(const std::string& key, double fallback) const
+{
+    const double v = getDouble(key, fallback);
+    // 2^64 is the first double a size_t cannot hold.
+    if (!(v >= 0.0) || !(v < 18446744073709551616.0)) {
+        throw std::invalid_argument("--" + key +
+                                    " must be a byte count >= 0, got " +
+                                    get(key, std::to_string(v)));
+    }
+    return static_cast<std::size_t>(v);
 }
 
 ParsedArgs
@@ -188,6 +215,20 @@ parseDtypeOption(const ParsedArgs& args)
     return core::parseEmbDtype(args.get("dtype", "fp32"));
 }
 
+/** --cache-min-accesses, range-checked before it narrows to the
+ *  config's 32-bit field (HotTierConfig::validate rejects 0). */
+std::uint32_t
+minAccessesOption(const ParsedArgs& args)
+{
+    const std::size_t v = args.getCount("cache-min-accesses", 2);
+    if (v > UINT32_MAX) {
+        throw std::invalid_argument(
+            "--cache-min-accesses must be <= " +
+            std::to_string(UINT32_MAX) + ", got " + std::to_string(v));
+    }
+    return static_cast<std::uint32_t>(v);
+}
+
 /**
  * The hot tier the shared --cache-budget option asks for (budgetBytes
  * 0 when the option is absent or zero): each fleet replica pins one
@@ -197,15 +238,12 @@ core::HotTierConfig
 hotTierConfig(const ParsedArgs& args)
 {
     core::HotTierConfig hc;
-    const double budget = args.getDouble("cache-budget", 0.0);
-    if (!(budget > 0.0))
-        return hc;
-    hc.budgetBytes = static_cast<std::size_t>(budget);
-    hc.epochLookups = static_cast<std::size_t>(
-        args.getInt("cache-epoch-lookups", 20'000));
-    hc.minAccesses = static_cast<std::uint32_t>(
-        args.getInt("cache-min-accesses", 2));
+    hc.budgetBytes = args.getBytes("cache-budget", 0.0);
+    hc.epochLookups = args.getCount("cache-epoch-lookups", 20'000);
+    hc.minAccesses = minAccessesOption(args);
     hc.validate();
+    if (hc.budgetBytes == 0)
+        return core::HotTierConfig{};
     return hc;
 }
 
@@ -917,29 +955,26 @@ cmdCache(const ParsedArgs& args, std::ostream& out)
         static_cast<std::uint64_t>(args.getInt("seed", 1));
     const core::EmbDtype dtype = parseDtypeOption(args);
 
+    // Every option is checked before the model is built.
+    core::HotTierConfig hc;
+    hc.budgetBytes = args.getBytes("cache-budget", 4.0 * (1u << 20));
+    hc.minAccesses = minAccessesOption(args);
+    hc.validate();
+    const std::size_t batch_size = args.getCount("batch-size", 16);
+    const std::size_t warm_n = args.getCount("warm-batches", 8);
+    const std::size_t measure_n = args.getCount("batches", 16);
+    if (batch_size == 0)
+        throw std::invalid_argument("--batch-size must be >= 1");
+    if (measure_n == 0)
+        throw std::invalid_argument("--batches must be >= 1");
+
     core::DlrmModel model(cfg_model, seed);
     if (dtype != core::EmbDtype::Fp32) {
         model.attachQuantizedStore(
             core::EmbeddingStore::create(cfg_model, seed, 256, dtype));
     }
     const auto& store = model.sharedStoreFor(dtype);
-
-    core::HotTierConfig hc;
-    hc.budgetBytes = static_cast<std::size_t>(
-        args.getDouble("cache-budget", 4.0 * (1u << 20)));
-    hc.minAccesses = static_cast<std::uint32_t>(
-        args.getInt("cache-min-accesses", 2));
-    hc.validate();
     core::HotTierCache tier(store, hc);
-
-    const std::size_t batch_size = static_cast<std::size_t>(
-        args.getInt("batch-size", 16));
-    const std::size_t warm_n =
-        static_cast<std::size_t>(args.getInt("warm-batches", 8));
-    const std::size_t measure_n =
-        static_cast<std::size_t>(args.getInt("batches", 16));
-    if (measure_n == 0)
-        throw std::invalid_argument("--batches must be >= 1");
 
     char buf[224];
     std::snprintf(
@@ -1002,7 +1037,11 @@ cmdCache(const ParsedArgs& args, std::ostream& out)
             static_cast<unsigned long long>(after.demotions));
         out << buf;
     }
-    out << "total: " << tierSummary(tier) << "\n";
+    const core::HotTierStats total = tier.stats();
+    std::snprintf(buf, sizeof(buf), " | epoch mean %.3f ms max %.3f ms",
+                  total.epochMeanMs(),
+                  static_cast<double>(total.epochMaxNs) / 1e6);
+    out << "total: " << tierSummary(tier) << buf << "\n";
     return 0;
 }
 

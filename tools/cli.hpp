@@ -34,6 +34,7 @@
 #ifndef DLRMOPT_TOOLS_CLI_HPP
 #define DLRMOPT_TOOLS_CLI_HPP
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -64,6 +65,16 @@ struct ParsedArgs
 
     /** Double option; throws std::invalid_argument on bad input. */
     double getDouble(const std::string& key, double fallback) const;
+
+    /** Non-negative integer option (a count); throws
+     *  std::invalid_argument on bad or negative input. */
+    std::size_t getCount(const std::string& key,
+                         std::size_t fallback) const;
+
+    /** Non-negative byte size (any finite number, truncated); throws
+     *  std::invalid_argument on a negative, non-finite or
+     *  unrepresentable value. */
+    std::size_t getBytes(const std::string& key, double fallback) const;
 };
 
 /**
