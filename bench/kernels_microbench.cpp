@@ -5,8 +5,9 @@
  * prefetching (Algorithm 3) on a larger-than-LLC table, the dense
  * (MLP) layer kernel — blocked baseline and packed register-blocked
  * microkernel, swept over coalesced batch size m and SimdLevel — the
- * dot interaction, and the simulation substrate's own throughput
- * (cache model, reuse-distance analyzer).
+ * hot tier's bag and promotion epoch, the dot interaction, and the
+ * simulation substrate's own throughput (cache model, reuse-distance
+ * analyzer).
  *
  * Unlike the figure benches (which model the paper's server CPUs),
  * these numbers are measured on THIS host; the prefetch benefit's
@@ -486,6 +487,84 @@ BENCHMARK(BM_HotTierBagDtypeSweep)
     ->Arg(static_cast<long>(core::EmbDtype::Fp32))
     ->Arg(static_cast<long>(core::EmbDtype::Bf16))
     ->Arg(static_cast<long>(core::EmbDtype::Int8))
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_HotTierEpoch(benchmark::State& state)
+{
+    // One promotion/demotion epoch at the perfbench tier_drift slot
+    // count (4 tables, a 32768-slot budget) over a fixed touched set:
+    // each window gives 64K rows a counter and 5K of them reach
+    // minAccesses. Only rows per table vary; the dim is small so the
+    // store stays small. An epoch that walks only the touched rows
+    // costs the same at every table size, while a scan of every
+    // table x row counter grows linearly with rows. The time is the
+    // tier's own epochNs (its exclusive section), so refilling the
+    // counters between epochs is not counted.
+    const auto rows = static_cast<std::size_t>(state.range(0));
+    static constexpr std::size_t kTables = 4;
+    static constexpr std::size_t kDim = 8;
+    static constexpr std::size_t kSlots = 32768;
+    static constexpr std::size_t kTouched = 65536;
+    static constexpr std::size_t kHot = 5120;
+
+    struct Setup
+    {
+        std::size_t rows = 0;
+        std::shared_ptr<const core::EmbeddingStore> store;
+        std::unique_ptr<core::HotTierCache> tier;
+    };
+    static std::unique_ptr<Setup> setup;
+    if (!setup || setup->rows != rows) {
+        setup.reset(); // free the previous size before building
+        auto s = std::make_unique<Setup>();
+        s->rows = rows;
+        core::ModelConfig m;
+        m.name = "tier_epoch_bench";
+        m.cls = core::ModelClass::RMC2;
+        m.rows = rows;
+        m.dim = kDim;
+        m.tables = kTables;
+        m.lookups = 1;
+        m.bottomMlp = {16, kDim};
+        m.topMlp = {16, 1};
+        s->store =
+            core::EmbeddingStore::create(m, 42, 256, core::EmbDtype::Bf16);
+        core::HotTierConfig hc;
+        hc.budgetBytes =
+            kSlots * ((s->store->table(0).storedRowBytes() + 63) / 64 *
+                      64);
+        s->tier = std::make_unique<core::HotTierCache>(s->store, hc);
+        setup = std::move(s);
+    }
+    core::HotTierCache& tier = *setup->tier;
+
+    for (auto _ : state) {
+        // An odd multiplier is a bijection modulo the power-of-two row
+        // count, so the touched rows are the same number of distinct
+        // rows at every table size.
+        for (std::size_t k = 0; k < kTouched; ++k) {
+            tier.recordAccess(
+                k % kTables,
+                static_cast<RowIndex>((k / kTables * 2'654'435'761u) %
+                                      rows),
+                k < kHot ? 8 : 1);
+        }
+        const std::uint64_t before = tier.stats().epochNs;
+        tier.endEpoch();
+        state.SetIterationTime(
+            static_cast<double>(tier.stats().epochNs - before) * 1e-9);
+    }
+    state.counters["resident"] = benchmark::Counter(
+        static_cast<double>(tier.stats().residentRows));
+    state.counters["touched"] =
+        benchmark::Counter(static_cast<double>(kTouched));
+}
+BENCHMARK(BM_HotTierEpoch)
+    ->Arg(64 << 10)
+    ->Arg(256 << 10)
+    ->Arg(1 << 20)
+    ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 void

@@ -14,6 +14,9 @@
  *     through the tiered embedding stage. The run FAILS unless the
  *     hit rate clears the per-class floor (High >= 75%, Medium
  *     >= 35%, Low >= 2% — measured values sit near 90 / 50 / 7%).
+ *     Each cell also reports the mean and max wall time of its two
+ *     epochs (the warm-up promotion and one closing the served
+ *     window), measured inside the tier's exclusive section.
  *
  *  3. Per-request embedding-stage latency at High hotness: real
  *     wall-clock p50/p95 across requests, tier vs cold at the exact
@@ -32,6 +35,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -136,6 +140,9 @@ struct ClassPoint
     double floorRate = 0.0;
     std::size_t residentRows = 0;
     std::size_t capacityRows = 0;
+    std::uint64_t epochs = 0;
+    double epochMeanMs = 0.0; //!< wall time inside the exclusive lock
+    double epochMaxMs = 0.0;
 
     bool pass() const { return hitRate >= floorRate; }
 };
@@ -274,6 +281,14 @@ measureClass(traces::Hotness h, core::EmbDtype dtype,
     p.hitRate = total ? static_cast<double>(hits) /
                             static_cast<double>(total)
                       : 0.0;
+
+    // Close the served window with the epoch serving would run next,
+    // so the epoch cost covers counters from real bags too.
+    tier.endEpoch();
+    const core::HotTierStats closed = tier.stats();
+    p.epochs = closed.epochs;
+    p.epochMeanMs = closed.epochMeanMs();
+    p.epochMaxMs = static_cast<double>(closed.epochMaxNs) / 1e6;
     return p;
 }
 
@@ -443,11 +458,14 @@ writeJson(const std::vector<IdentityPoint>& ids,
             buf, sizeof(buf),
             "  {\"kind\": \"hit_rate\", \"hotness\": \"%s\", "
             "\"dtype\": \"%s\", \"hit_rate\": %.4f, \"floor\": %.2f, "
-            "\"resident_rows\": %zu, \"capacity_rows\": %zu}%s\n",
+            "\"resident_rows\": %zu, \"capacity_rows\": %zu, "
+            "\"epochs\": %llu, \"epoch_mean_ms\": %.6f, "
+            "\"epoch_max_ms\": %.6f}%s\n",
             traces::hotnessName(p.hotness).c_str(),
             core::embDtypeName(p.dtype).c_str(), p.hitRate,
             p.floorRate, p.residentRows, p.capacityRows,
-            ++n < total ? "," : "");
+            static_cast<unsigned long long>(p.epochs), p.epochMeanMs,
+            p.epochMaxMs, ++n < total ? "," : "");
         os << buf;
     }
     std::snprintf(
@@ -546,7 +564,8 @@ main()
                             {traces::Hotness::Low, 0.02}};
     std::printf("\n-- hit rate by hotness class (floors: High 75%% / "
                 "Medium 35%% / Low 2%%) --\n");
-    std::printf("  class    dtype    hit rate   floor   resident\n");
+    std::printf("  class    dtype    hit rate   floor   resident"
+                "     epoch mean / max ms\n");
     std::vector<ClassPoint> classes;
     for (const Floor& f : floors) {
         for (const core::EmbDtype dtype :
@@ -556,11 +575,13 @@ main()
                 f.h, dtype, cfg, seed, budget, batch_size, warm_n,
                 measure_n, f.rate));
             const ClassPoint& p = classes.back();
-            std::printf("  %-8s %-5s   %7.1f%%   %4.0f%%   %zu/%zu\n",
+            std::printf("  %-8s %-5s   %7.1f%%   %4.0f%%   %zu/%zu"
+                        "   %.3f / %.3f\n",
                         traces::hotnessName(p.hotness).c_str(),
                         core::embDtypeName(p.dtype).c_str(),
                         100.0 * p.hitRate, 100.0 * p.floorRate,
-                        p.residentRows, p.capacityRows);
+                        p.residentRows, p.capacityRows, p.epochMeanMs,
+                        p.epochMaxMs);
             if (!p.pass()) {
                 std::printf("  ^^ FAIL: %s/%s hit rate %.1f%% is "
                             "under the %.0f%% floor\n",
