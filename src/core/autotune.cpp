@@ -130,15 +130,14 @@ timePackedMs(const float *in, std::size_t batch, const PackedWeights& w,
 double
 timePackedInt8Ms(const std::uint8_t *qin, std::size_t batch,
                  const PackedWeightsInt8& w, const float *bias,
-                 float *out, float ascale, float amin,
-                 const GemmTile& tile, SimdLevel level, int repeats)
+                 float *out, const GemmTile& tile, SimdLevel level,
+                 int repeats)
 {
     double best = 1e300;
     for (int r = 0; r < repeats; ++r) {
         const auto t0 = Clock::now();
         denseLayerForwardPackedInt8Level(level, qin, batch, w, bias,
-                                         out, true, ascale, amin,
-                                         tile);
+                                         out, true, tile);
         const double ms =
             std::chrono::duration<double, std::milli>(Clock::now() -
                                                       t0)
@@ -259,13 +258,14 @@ tuneGemmTile(std::size_t batch, std::size_t in_dim, std::size_t out_dim,
         // forward, identical for every candidate tile.
         const PackedWeightsInt8 qpacked(weights.data(), in_dim,
                                         out_dim);
-        std::vector<std::uint8_t> qin(batch * qpacked.paddedK());
-        const QuantParams qp = quantizeActivationsInt8(
-            in.data(), batch, in_dim, qpacked.paddedK(), qin.data());
+        std::vector<std::uint8_t> qin(batch *
+                                      qpacked.activationStride());
+        quantizeActivationsInt8(in.data(), batch, in_dim,
+                                qpacked.activationStride(), qin.data());
         for (const GemmTile& tile : candidates) {
             const double ms = timePackedInt8Ms(
                 qin.data(), batch, qpacked, bias.data(), out.data(),
-                qp.scale, qp.bias, tile, level, repeats);
+                tile, level, repeats);
             res.measurements.push_back({tile, ms});
             if (ms < res.bestMs) {
                 res.bestMs = ms;

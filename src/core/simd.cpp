@@ -31,8 +31,6 @@ cpuSupports(const char *feature)
 
 std::atomic<SimdLevel> activeLevel{detectSimdLevel()};
 
-std::atomic<bool> vnniActive{cpuHasAvx512Vnni()};
-
 } // namespace
 
 SimdLevel
@@ -56,20 +54,6 @@ cpuHasAvx512Vnni()
 #else
     return false;
 #endif
-}
-
-bool
-setVnniEnabled(bool enabled)
-{
-    const bool actual = enabled && cpuHasAvx512Vnni();
-    vnniActive.store(actual, std::memory_order_relaxed);
-    return actual;
-}
-
-bool
-vnniEnabled()
-{
-    return vnniActive.load(std::memory_order_relaxed);
 }
 
 std::string

@@ -32,23 +32,10 @@ enum class SimdLevel
 /** Highest level supported by the running CPU. */
 SimdLevel detectSimdLevel();
 
-/** True when the running CPU exposes AVX512-VNNI (vpdpbusd). */
+/** True when the running CPU exposes AVX512-VNNI (vpdpbusd); the
+ *  u8·s8 GEMM dispatches its VNNI kernel at the AVX-512 level only
+ *  then. */
 bool cpuHasAvx512Vnni();
-
-/**
- * Enables/disables the VNNI u8·s8 GEMM microkernel at runtime
- * (default: detected capability). Requests to enable on a host
- * without AVX512-VNNI are clamped to off. Both paths accumulate the
- * identical exact s32 dot products, so toggling never changes a
- * prediction bit — this exists so tests can run the widening path on
- * VNNI hosts and benches can A/B the two.
- *
- * @return The state actually selected.
- */
-bool setVnniEnabled(bool enabled);
-
-/** True when the VNNI microkernel is currently selected. */
-bool vnniEnabled();
 
 /** Human-readable name ("scalar", "AVX2", "AVX-512"). */
 std::string simdLevelName(SimdLevel level);

@@ -557,19 +557,15 @@ TEST_F(FleetTest, PrecisionFloorQuantizesEveryDispatch)
     // A quantized floor serves every dispatch from the tenant's own
     // quantized store, through replica hot tiers fronting that store,
     // and each answer is bitwise the standalone model's forward at
-    // that precision over an equal store. bf16 coalesces; int8 runs
-    // one request per dispatch, because the u8·s8 MLP quantizes its
-    // activations over the whole dispatch, so int8 bits depend on
-    // the group a request rides in.
+    // that precision over an equal store, coalesced or not.
     for (const core::EmbDtype dtype :
          {core::EmbDtype::Bf16, core::EmbDtype::Int8}) {
-        const bool coalesce = dtype == core::EmbDtype::Bf16;
         TenantConfig t = makeTenant("floored", 4096, 50.0, 1.0);
         t.dtype = dtype;
         TenantRegistry reg;
         reg.add(t);
         FleetConfig cfg = baseConfig();
-        cfg.batching.enabled = coalesce;
+        cfg.batching.enabled = true;
         cfg.seed = 9;
         cfg.hotTier.budgetBytes = 16 * 1024;
         cfg.hotTier.minAccesses = 1;
@@ -586,9 +582,9 @@ TEST_F(FleetTest, PrecisionFloorQuantizesEveryDispatch)
         const FleetStats fs = fleet.serve({work});
         ASSERT_EQ(fs.total.served, 40u) << core::embDtypeName(dtype);
         EXPECT_EQ(fs.total.quantDispatches, fs.total.dispatches);
-        if (coalesce) {
-            EXPECT_LT(fs.total.dispatches, fs.total.served);
-        }
+        // At least one dispatch carried more than one request.
+        EXPECT_LT(fs.total.dispatches, fs.total.served)
+            << core::embDtypeName(dtype);
         EXPECT_GT(fs.tierHits, 0u);
 
         core::DlrmModel ref(t.model, cfg.seed);
