@@ -27,6 +27,26 @@ parse(std::initializer_list<const char *> argv)
     return parseArgs(static_cast<int>(v.size()), v.data());
 }
 
+/**
+ * Runs `cmd opt -1` for each count option in @p opts and expects a
+ * typed error naming the option, raised while the options are parsed
+ * (a wrapped count must never reach a trace, topology or fleet).
+ */
+void
+expectNegativeCountsRejected(const char *cmd,
+                             std::initializer_list<const char *> opts)
+{
+    for (const char *opt : opts) {
+        std::ostringstream out, err;
+        EXPECT_EQ(run(parse({cmd, opt, "-1"}), out, err), 1)
+            << cmd << " " << opt;
+        EXPECT_NE(err.str().find(std::string("error: ") + opt +
+                                 " must be >= 0"),
+                  std::string::npos)
+            << cmd << " " << opt << ": " << err.str();
+    }
+}
+
 TEST(CliParse, CommandOptionsAndPositionals)
 {
     const auto a = parse({"trace", "info", "file.bin", "--format",
@@ -129,6 +149,23 @@ TEST(CliRun, TraceGenAndInfoRoundTrip)
     EXPECT_NE(out.str().find("3 batches"), std::string::npos);
     EXPECT_NE(out.str().find("2 tables"), std::string::npos);
     std::remove(path.c_str());
+}
+
+TEST(CliRun, ModelAndTraceCountOptionsRejectNegatives)
+{
+    expectNegativeCountsRejected("evaluate",
+                                 {"--batches", "--sim-tables"});
+    for (const char *opt : {"--rows", "--tables", "--lookups",
+                            "--batch-size", "--batches"}) {
+        std::ostringstream out, err;
+        EXPECT_EQ(run(parse({"trace", "gen", opt, "-1"}), out, err), 1)
+            << opt;
+        EXPECT_NE(err.str().find(std::string(opt) + " must be >= 0"),
+                  std::string::npos)
+            << opt << ": " << err.str();
+    }
+    expectNegativeCountsRejected(
+        "tune", {"--rows", "--dim", "--samples", "--lookups"});
 }
 
 TEST(CliRun, GemmTunePrintsTileTableAndSpeedup)
@@ -240,6 +277,8 @@ TEST(CliRun, ServeRejectsBadOptions)
     EXPECT_NE(e2.str().find("stragglerCore 7 out of range"),
               std::string::npos)
         << e2.str();
+    expectNegativeCountsRejected(
+        "serve", {"--cores", "--requests", "--retries", "--batch-size"});
 }
 
 TEST(CliRun, ServeQuantizedPrecisionFloorCountsEveryDispatch)
@@ -298,6 +337,9 @@ TEST(CliRun, RouterRejectsBadOptions)
             << gone;
         EXPECT_TRUE(o.str().empty()) << gone;
     }
+    expectNegativeCountsRejected("router",
+                                 {"--cores", "--instances", "--requests",
+                                  "--retries", "--batch-size"});
 }
 
 TEST(CliRun, BatchComparesUnbatchedAgainstCoalescing)
@@ -326,6 +368,9 @@ TEST(CliRun, BatchRejectsBadOptions)
     EXPECT_NE(run(parse({"batch", "--max-requests", "0"}), out, err),
               0);
     EXPECT_NE(run(parse({"batch", "--dtype", "int4"}), out, err), 0);
+    expectNegativeCountsRejected("batch",
+                                 {"--cores", "--requests", "--retries",
+                                  "--batch-size", "--max-requests"});
 }
 
 TEST(CliRun, BatchQuantizedPrecisionFloorRunsEveryRow)
@@ -408,6 +453,9 @@ TEST(CliRun, ChaosRejectsBadOptions)
         EXPECT_NE(e.str().find("was removed"), std::string::npos)
             << gone;
     }
+    expectNegativeCountsRejected("chaos",
+                                 {"--cores", "--instances", "--requests",
+                                  "--retries", "--batch-size"});
     // Usage advertises the new subcommand.
     std::ostringstream uout, uerr;
     run(parse({"frobnicate"}), uout, uerr);
@@ -462,6 +510,10 @@ TEST(CliRun, TenantsRejectsBadOptions)
     EXPECT_NE(run(parse({"tenants", "--scenario", "meteor-strike"}),
                   out, err),
               0);
+    expectNegativeCountsRejected("tenants",
+                                 {"--tenants", "--cores", "--instances",
+                                  "--budget", "--batch-size",
+                                  "--max-requests"});
     // Usage advertises the new subcommand.
     std::ostringstream uout, uerr;
     run(parse({"frobnicate"}), uout, uerr);

@@ -170,12 +170,9 @@ buildEvalConfig(const ParsedArgs& args)
     cfg.model = core::modelByName(args.get("model", "rm2_1"));
     cfg.hotness = parseHotness(args.get("hotness", "low"));
     cfg.scheme = parseScheme(args.get("scheme", "baseline"));
-    cfg.cores =
-        static_cast<std::size_t>(args.getInt("cores", 1));
-    cfg.numBatches =
-        static_cast<std::size_t>(args.getInt("batches", 0));
-    cfg.maxSimTables =
-        static_cast<std::size_t>(args.getInt("sim-tables", 24));
+    cfg.cores = args.getCount("cores", 1);
+    cfg.numBatches = args.getCount("batches", 0);
+    cfg.maxSimTables = args.getCount("sim-tables", 24);
     cfg.pfDistance = static_cast<int>(args.getInt("pf-distance", 4));
     cfg.pfAmount = static_cast<int>(args.getInt("pf-amount", -1));
     const std::string hint = args.get("pf-hint", "T0");
@@ -406,16 +403,11 @@ cmdTrace(const ParsedArgs& args, std::ostream& out, std::ostream& err)
         args.positional.empty() ? "" : args.positional.front();
     if (sub == "gen") {
         traces::TraceConfig tc;
-        tc.rows = static_cast<std::size_t>(
-            args.getInt("rows", 100'000));
-        tc.tables =
-            static_cast<std::size_t>(args.getInt("tables", 8));
-        tc.lookups =
-            static_cast<std::size_t>(args.getInt("lookups", 32));
-        tc.batchSize = static_cast<std::size_t>(
-            args.getInt("batch-size", 64));
-        tc.numBatches = static_cast<std::size_t>(
-            args.getInt("batches", 16));
+        tc.rows = args.getCount("rows", 100'000);
+        tc.tables = args.getCount("tables", 8);
+        tc.lookups = args.getCount("lookups", 32);
+        tc.batchSize = args.getCount("batch-size", 64);
+        tc.numBatches = args.getCount("batches", 16);
         tc.hotness = parseHotness(args.get("hotness", "medium"));
         tc.seed =
             static_cast<std::uint64_t>(args.getInt("seed", 1));
@@ -466,14 +458,10 @@ cmdTrace(const ParsedArgs& args, std::ostream& out, std::ostream& err)
 int
 cmdTune(const ParsedArgs& args, std::ostream& out)
 {
-    const std::size_t rows = static_cast<std::size_t>(
-        args.getInt("rows", 262'144));
-    const std::size_t dim =
-        static_cast<std::size_t>(args.getInt("dim", 128));
-    const std::size_t samples =
-        static_cast<std::size_t>(args.getInt("samples", 64));
-    const std::size_t lookups =
-        static_cast<std::size_t>(args.getInt("lookups", 64));
+    const std::size_t rows = args.getCount("rows", 262'144);
+    const std::size_t dim = args.getCount("dim", 128);
+    const std::size_t samples = args.getCount("samples", 64);
+    const std::size_t lookups = args.getCount("lookups", 64);
 
     out << "building " << rows << " x " << dim
         << " table and tuning on this host...\n";
@@ -628,8 +616,7 @@ singleWorkload(const core::ModelConfig& model, const ParsedArgs& args,
 {
     traces::TraceConfig tc = traces::TraceConfig::forModel(
         model, parseHotness(args.get("hotness", "medium")), seed);
-    tc.batchSize = static_cast<std::size_t>(
-        args.getInt("batch-size", 16));
+    tc.batchSize = args.getCount("batch-size", 16);
     traces::TraceGenerator gen(tc);
     serve::TenantWorkload w;
     for (std::size_t b = 0; b < 16; ++b)
@@ -649,8 +636,7 @@ clusterConfig(const ParsedArgs& args, std::size_t instances,
     serve::FleetConfig cfg;
     cfg.instances = instances;
     cfg.admission = !args.has("no-admission");
-    cfg.maxRetries =
-        static_cast<std::size_t>(args.getInt("retries", 2));
+    cfg.maxRetries = args.getCount("retries", 2);
     cfg.seed = seed;
     return cfg;
 }
@@ -683,10 +669,8 @@ cmdServe(const ParsedArgs& args, std::ostream& out)
         args.getDouble("fault-straggler-factor", 1.0);
     const serve::FaultSchedule faults({{0.0, 0, fc}}, {}, {});
 
-    const std::size_t cores =
-        static_cast<std::size_t>(args.getInt("cores", 2));
-    const std::size_t requests =
-        static_cast<std::size_t>(args.getInt("requests", 200));
+    const std::size_t cores = args.getCount("cores", 2);
+    const std::size_t requests = args.getCount("requests", 200);
     const double arrival_ms = args.getDouble("arrival-ms", 2.0);
     if (cores == 0)
         throw std::invalid_argument("--cores must be >= 1");
@@ -695,9 +679,9 @@ cmdServe(const ParsedArgs& args, std::ostream& out)
 
     const auto work = singleWorkload(cfg_model, args, seed, requests,
                                      arrival_ms);
-    const auto topo = sched::Topology::synthetic(cores, 2);
     serve::FleetConfig fcfg = clusterConfig(args, 1, seed);
     fcfg.hotTier = hotTierConfig(args);
+    const auto topo = sched::Topology::synthetic(cores, 2);
 
     serve::TenantFleet baseline = singleServer(tenant, fcfg, topo);
     out << cfg_model.name << " scaled to "
@@ -754,12 +738,9 @@ cmdRouter(const ParsedArgs& args, std::ostream& out)
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
 
-    const std::size_t cores =
-        static_cast<std::size_t>(args.getInt("cores", 4));
-    const std::size_t instances =
-        static_cast<std::size_t>(args.getInt("instances", 2));
-    const std::size_t requests =
-        static_cast<std::size_t>(args.getInt("requests", 400));
+    const std::size_t cores = args.getCount("cores", 4);
+    const std::size_t instances = args.getCount("instances", 2);
+    const std::size_t requests = args.getCount("requests", 400);
     const double arrival_ms = args.getDouble("arrival-ms", 1.0);
     if (cores == 0)
         throw std::invalid_argument("--cores must be >= 1");
@@ -771,8 +752,7 @@ cmdRouter(const ParsedArgs& args, std::ostream& out)
 
     traces::TraceConfig tc = traces::TraceConfig::forModel(
         cfg_model, parseHotness(args.get("hotness", "medium")), seed);
-    tc.batchSize = static_cast<std::size_t>(
-        args.getInt("batch-size", 16));
+    tc.batchSize = args.getCount("batch-size", 16);
     traces::TraceGenerator gen(tc);
     std::vector<core::SparseBatch> batches;
     for (std::size_t b = 0; b < 16; ++b)
@@ -783,7 +763,7 @@ cmdRouter(const ParsedArgs& args, std::ostream& out)
     const std::vector<serve::TenantWorkload> work{
         {dense, batches,
          serve::PoissonLoadGen(arrival_ms, seed).arrivals(requests)}};
-    const auto topo = sched::Topology::synthetic(cores, 2);
+    const serve::FleetConfig fcfg = clusterConfig(args, 1, seed);
     const auto reg = singleTenant(cfg_model, args);
 
     // Optional straggler instance: a fault phase from t=0 slowing
@@ -800,6 +780,7 @@ cmdRouter(const ParsedArgs& args, std::ostream& out)
         phases.push_back({0.0, straggler_inst, fc});
     }
     const serve::FaultSchedule straggler(std::move(phases), {}, {});
+    const auto topo = sched::Topology::synthetic(cores, 2);
 
     out << cfg_model.name << " scaled to "
         << static_cast<std::size_t>(cfg_model.embeddingBytes()) /
@@ -815,8 +796,9 @@ cmdRouter(const ParsedArgs& args, std::ostream& out)
 
     const auto report = [&](std::size_t n,
                             const serve::FaultSchedule *schedule) {
-        serve::TenantFleet fleet(reg, topo,
-                                 clusterConfig(args, n, seed));
+        serve::FleetConfig cfg = fcfg;
+        cfg.instances = n;
+        serve::TenantFleet fleet(reg, topo, cfg);
         const serve::FleetStats st = fleet.serve(
             work, core::PrefetchSpec::paperDefault(), schedule);
         char buf[64];
@@ -848,10 +830,8 @@ cmdBatch(const ParsedArgs& args, std::ostream& out)
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
 
-    const std::size_t cores =
-        static_cast<std::size_t>(args.getInt("cores", 2));
-    const std::size_t requests =
-        static_cast<std::size_t>(args.getInt("requests", 400));
+    const std::size_t cores = args.getCount("cores", 2);
+    const std::size_t requests = args.getCount("requests", 400);
     const double arrival_ms = args.getDouble("arrival-ms", 0.6);
     if (cores == 0)
         throw std::invalid_argument("--cores must be >= 1");
@@ -876,9 +856,10 @@ cmdBatch(const ParsedArgs& args, std::ostream& out)
     }
     tenant.truth = serve::ServiceTimeline(tenant.service);
 
-    const auto topo = sched::Topology::synthetic(cores, 2);
     serve::FleetConfig fcfg = clusterConfig(args, 1, seed);
     fcfg.hotTier = hotTierConfig(args);
+    const std::size_t max_requests = args.getCount("max-requests", 8);
+    const auto topo = sched::Topology::synthetic(cores, 2);
     serve::TenantFleet unbatched = singleServer(tenant, fcfg, topo);
 
     char mb[96];
@@ -914,8 +895,7 @@ cmdBatch(const ParsedArgs& args, std::ostream& out)
 
     report("unbatched       ", unbatched);
     fcfg.batching.enabled = true;
-    fcfg.batching.maxRequests = static_cast<std::size_t>(
-        args.getInt("max-requests", 8));
+    fcfg.batching.maxRequests = max_requests;
     std::string tier_line;
     for (const double linger :
          {0.0, args.getDouble("linger-ms", 1.0)}) {
@@ -1062,12 +1042,9 @@ cmdChaos(const ParsedArgs& args, std::ostream& out)
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
 
-    const std::size_t cores =
-        static_cast<std::size_t>(args.getInt("cores", 4));
-    const std::size_t instances =
-        static_cast<std::size_t>(args.getInt("instances", 2));
-    const std::size_t requests =
-        static_cast<std::size_t>(args.getInt("requests", 400));
+    const std::size_t cores = args.getCount("cores", 4);
+    const std::size_t instances = args.getCount("instances", 2);
+    const std::size_t requests = args.getCount("requests", 400);
     const double arrival_ms = args.getDouble("arrival-ms", 1.0);
     if (cores == 0)
         throw std::invalid_argument("--cores must be >= 1");
@@ -1087,8 +1064,7 @@ cmdChaos(const ParsedArgs& args, std::ostream& out)
 
     traces::TraceConfig tc = traces::TraceConfig::forModel(
         cfg_model, parseHotness(args.get("hotness", "medium")), seed);
-    tc.batchSize = static_cast<std::size_t>(
-        args.getInt("batch-size", 16));
+    tc.batchSize = args.getCount("batch-size", 16);
     traces::TraceGenerator gen(tc);
     std::vector<core::SparseBatch> batches;
     for (std::size_t b = 0; b < 16; ++b)
@@ -1100,10 +1076,10 @@ cmdChaos(const ParsedArgs& args, std::ostream& out)
         {dense, batches,
          serve::PoissonLoadGen(arrival_ms, seed).arrivals(requests)}};
     const double session_ms = work[0].arrivalsMs.back();
-    const auto topo = sched::Topology::synthetic(cores, 2);
-    const auto reg = singleTenant(cfg_model, args);
     serve::FleetConfig fcfg = clusterConfig(args, instances, seed);
     fcfg.capacity.probationMs = args.getDouble("probation-ms", 5.0);
+    const auto topo = sched::Topology::synthetic(cores, 2);
+    const auto reg = singleTenant(cfg_model, args);
 
     out << cfg_model.name << " chaos replay: " << instances
         << " instance(s) on " << cores << " core(s), SLA "
@@ -1140,8 +1116,7 @@ cmdTenants(const ParsedArgs& args, std::ostream& out)
     // different times of the simulated day. Optionally elastic
     // (windowed load forecast moves the Up set) and/or overlaid with
     // a scripted chaos scenario.
-    const std::size_t n_tenants =
-        static_cast<std::size_t>(args.getInt("tenants", 3));
+    const std::size_t n_tenants = args.getCount("tenants", 3);
     if (n_tenants < 2 || n_tenants > 4)
         throw std::invalid_argument("--tenants must be 2..4");
     const double max_bytes =
@@ -1152,12 +1127,9 @@ cmdTenants(const ParsedArgs& args, std::ostream& out)
     const double arrival_ms = args.getDouble("arrival-ms", 0.3);
     const double amplitude = args.getDouble("amplitude", 0.8);
     const double sla_ms = args.getDouble("sla", 12.0);
-    const std::size_t budget =
-        static_cast<std::size_t>(args.getInt("budget", 16));
-    const std::size_t cores =
-        static_cast<std::size_t>(args.getInt("cores", 8));
-    const std::size_t instances =
-        static_cast<std::size_t>(args.getInt("instances", 4));
+    const std::size_t budget = args.getCount("budget", 16);
+    const std::size_t cores = args.getCount("cores", 8);
+    const std::size_t instances = args.getCount("instances", 4);
     if (instances == 0 || cores < instances)
         throw std::invalid_argument("--instances must be 1..cores");
     if (day_ms <= 0.0)
@@ -1200,8 +1172,7 @@ cmdTenants(const ParsedArgs& args, std::ostream& out)
         traces::TraceConfig gen_cfg = traces::TraceConfig::forModel(
             tc.model, parseHotness(args.get("hotness", "medium")),
             seed + k);
-        gen_cfg.batchSize = static_cast<std::size_t>(
-            args.getInt("batch-size", 4));
+        gen_cfg.batchSize = args.getCount("batch-size", 4);
         traces::TraceGenerator gen(gen_cfg);
         serve::TenantWorkload w;
         for (std::size_t b = 0; b < 8; ++b)
@@ -1221,8 +1192,7 @@ cmdTenants(const ParsedArgs& args, std::ostream& out)
     serve::FleetConfig fcfg;
     fcfg.instances = instances;
     fcfg.batching.enabled = true;
-    fcfg.batching.maxRequests = static_cast<std::size_t>(
-        args.getInt("max-requests", 4));
+    fcfg.batching.maxRequests = args.getCount("max-requests", 4);
     fcfg.batching.maxLingerMs = args.getDouble("linger-ms", 0.2);
     fcfg.admission = !args.has("no-admission");
     fcfg.seed = seed;
@@ -1231,8 +1201,7 @@ cmdTenants(const ParsedArgs& args, std::ostream& out)
     fcfg.scrub.enabled = true;
     if (args.has("elastic")) {
         fcfg.capacity.elastic = true;
-        fcfg.capacity.minInstances = static_cast<std::size_t>(
-            args.getInt("min-instances", 1));
+        fcfg.capacity.minInstances = args.getCount("min-instances", 1);
         fcfg.capacity.windowMs = day_ms / 24.0;
         fcfg.capacity.downLag = 2;
         fcfg.capacity.probationMs = 2.0;
@@ -1378,8 +1347,7 @@ cmdSnapshot(const ParsedArgs& args, std::ostream& out)
     const std::uint64_t version =
         static_cast<std::uint64_t>(args.getInt("version", 1));
     const core::EmbDtype dtype = parseDtypeOption(args);
-    const std::size_t block_rows =
-        static_cast<std::size_t>(args.getInt("block-rows", 256));
+    const std::size_t block_rows = args.getCount("block-rows", 256);
 
     const auto v = core::ModelVersion::build(cfg_model, version, seed,
                                              dtype, block_rows);
