@@ -158,8 +158,9 @@ GemmTuneResult tuneGemmTile(std::size_t batch, std::size_t in_dim,
  * (batch, layer) point, layers innermost.
  *
  * @param dtype EmbDtype::Int8 tunes the u8·s8 engine's cache slots
- *        instead. Serving warms both dtypes so a degradation tier
- *        switch never runs untuned.
+ *        instead. Only `dlrmopt gemmtune` calls this; the serving
+ *        path runs whatever the cache holds, defaultGemmTile() on a
+ *        miss.
  */
 std::vector<GemmTuneResult> tuneMlpGemm(
     const std::vector<std::size_t>& dims,
