@@ -17,9 +17,12 @@
  * chain is independent of the sample's position, the SimdLevel, and
  * the blocking tile), and its batch-shape-aware tile dispatch
  * (GemmTileCache keyed on the coalesced m) is what the coalesced
- * shapes are tuned for; weights are prepacked at model construction,
- * so the steady-state batched forward still performs zero heap
- * allocations.
+ * shapes are tuned for. The fp32 weights are prepacked at model
+ * construction and the u8·s8 packs of the int8 layers when an int8
+ * store reaches the model (DlrmModel::attachQuantizedStore), never
+ * inside a dispatch, so the steady-state batched forward performs
+ * zero heap allocations at every dtype. The u8·s8 layers keep the
+ * guarantee too: they quantize each sample row with its own scale.
  */
 
 #ifndef DLRMOPT_CORE_BATCHING_HPP
@@ -120,8 +123,9 @@ class ForwardWorkspace
      * @param dense Dense features [sparse.batchSize x denseDim].
      * @param dtype Inference precision (see DlrmModel::forward):
      *        Bf16 swaps in the bf16 fused-dequant bags, Int8 the int8
-     *        bags plus the u8·s8 MLP engine staged through the
-     *        workspace's qact buffer.
+     *        bags, with the MLP layers that spill L2 running the u8·s8
+     *        engine staged through the workspace's qact buffer
+     *        (DlrmModel::int8Mlps).
      * @param tier Optional hot tier for the embedding stage (see
      *        DlrmModel::embeddingForward); bitwise-identical output
      *        with or without it.

@@ -71,6 +71,8 @@ DlrmModel::DlrmModel(const ModelConfig& cfg,
       _numTables(num_tables)
 {
     checkViewArgs(_cfg, _store.get(), first_table, num_tables);
+    if (_store->dtype() == EmbDtype::Int8)
+        prepareInt8Mlps();
 }
 
 DlrmModel::DlrmModel(const ModelConfig& cfg,
@@ -86,6 +88,15 @@ DlrmModel::DlrmModel(const ModelConfig& cfg,
             "DlrmModel: adopted MLP size lists do not match the model "
             "config");
     }
+    if (_store->dtype() == EmbDtype::Int8)
+        prepareInt8Mlps();
+}
+
+void
+DlrmModel::prepareInt8Mlps() const
+{
+    _bottom.prepareInt8();
+    _top.prepareInt8();
 }
 
 void
@@ -107,20 +118,19 @@ DlrmModel::attachQuantizedStore(
             "attachQuantizedStore: store geometry does not match the "
             "model config");
     }
-    if (store->dtype() == EmbDtype::Bf16)
+    if (store->dtype() == EmbDtype::Bf16) {
         _bf16Store = std::move(store);
-    else
+    } else {
         _int8Store = std::move(store);
+        prepareInt8Mlps();
+    }
 }
 
 void
 DlrmModel::bottomForward(const Tensor& dense, Tensor& out,
                          EmbDtype dtype) const
 {
-    if (dtype == EmbDtype::Int8)
-        _bottom.forwardInt8(dense, out);
-    else
-        _bottom.forward(dense, out);
+    _bottom.forward(dense, out, int8Mlps(dtype));
 }
 
 void
@@ -178,10 +188,7 @@ void
 DlrmModel::topForward(const Tensor& inter_out, Tensor& pred,
                       EmbDtype dtype) const
 {
-    if (dtype == EmbDtype::Int8)
-        _top.forwardInt8(inter_out, pred);
-    else
-        _top.forward(inter_out, pred);
+    _top.forward(inter_out, pred, int8Mlps(dtype));
     sigmoidInplace(pred.data(), pred.size());
 }
 

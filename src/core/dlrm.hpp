@@ -119,7 +119,10 @@ class DlrmModel
      * lookup stage through it (serving's degradation tiers switch
      * dtype per request without touching the model otherwise). Must
      * be called before the model is shared across threads — stores
-     * are immutable on the read path, attachment is not.
+     * are immutable on the read path, attachment is not. Attaching
+     * an int8 store also builds both MLPs' u8·s8 packs (see
+     * int8Mlps()), so no int8 request pays for them; a model whose
+     * primary store is int8 builds them at construction.
      *
      * @throws std::invalid_argument when the store is null, is fp32
      *         (attach only quantized copies; the primary already
@@ -155,6 +158,20 @@ class DlrmModel
         return _store;
     }
 
+    /**
+     * True when a forward at @p dtype runs the MLP layers for which
+     * Mlp::int8Layer() holds through the u8·s8 engine: the request
+     * asks for int8 and an int8 store serves its bags. Every other
+     * layer, and every layer otherwise, runs the fp32 packed engine;
+     * int8 is an embedding-storage format for them, like bf16.
+     */
+    bool
+    int8Mlps(EmbDtype dtype) const
+    {
+        return dtype == EmbDtype::Int8 &&
+               storeFor(dtype).dtype() == EmbDtype::Int8;
+    }
+
     /** True when a quantized store is attached for @p dtype. */
     bool
     hasQuantizedStore(EmbDtype dtype) const
@@ -184,10 +201,11 @@ class DlrmModel
 
     /**
      * Runs the bottom MLP: dense [batch x denseDim] -> [batch x dim].
-     * @p dtype Int8 routes through the u8·s8 packed engine; Fp32 and
-     * Bf16 run the fp32 engine (bf16 is an embedding-storage format —
-     * the MLPs have no bf16 kernel, so a bf16 tier pairs bf16 bags
-     * with fp32 GEMMs).
+     * @p dtype picks the engine of each layer (int8Mlps()): only
+     * layers whose fp32 weights spill L2 ever run u8·s8, and only
+     * under int8 storage. bf16 is purely an embedding-storage format
+     * — the MLPs have no bf16 kernel, so a bf16 tier pairs bf16 bags
+     * with fp32 GEMMs.
      */
     void bottomForward(const Tensor& dense, Tensor& out,
                        EmbDtype dtype = EmbDtype::Fp32) const;
@@ -249,7 +267,8 @@ class DlrmModel
      * @param pf Software-prefetch configuration.
      * @param dtype Inference precision: Fp32 is the exact baseline;
      *        Bf16 runs bf16 fused-dequant bags (fp32 MLPs); Int8 runs
-     *        int8 bags plus the u8·s8 MLP path. Quantized dtypes are
+     *        int8 bags, and the u8·s8 engine on the MLP layers whose
+     *        fp32 weights spill L2 (int8Mlps()). Quantized dtypes are
      *        accuracy-budget approximations of fp32, each bitwise
      *        deterministic in its own right.
      * @param tier Optional hot tier for the embedding stage (see
@@ -296,6 +315,9 @@ class DlrmModel
     }
 
   private:
+    /** Builds both MLPs' u8·s8 packs (Mlp::prepareInt8). */
+    void prepareInt8Mlps() const;
+
     ModelConfig _cfg;
     Mlp _bottom;
     Mlp _top;

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "core/gemm.hpp"
 #include "core/mlp.hpp"
@@ -168,6 +170,67 @@ TEST(Mlp, HiddenLayersApplyRelu)
     m.forward(in, o1);
     m.forward(neg, o2);
     EXPECT_NE(o1.at(0, 0), -o2.at(0, 0)); // a linear map would negate
+}
+
+TEST(Mlp, Int8RunsOnlyTheLayersWhoseFp32PackSpills)
+{
+    // 1040x1024 holds 4.1 MB of fp32 weights, above
+    // kInt8MinPackBytes; the two small layers stay on the fp32 engine
+    // even under int8, so the int8 forward must equal layer 0 through
+    // the u8·s8 kernel followed by the fp32 packed layers, bitwise.
+    Mlp m({1040, 1024, 64, 8}, 3);
+    ASSERT_TRUE(m.int8Layer(0));
+    EXPECT_FALSE(m.int8Layer(1));
+    EXPECT_FALSE(m.int8Layer(2));
+    EXPECT_EQ(m.maxInt8ActivationStride(),
+              PackedWeightsInt8::activationStrideFor(1040));
+    EXPECT_EQ(m.int8PackedBytes(), 0u);
+
+    const std::size_t batch = 5;
+    Tensor in(batch, 1040);
+    in.randomize(41);
+    Tensor got;
+    m.forward(in, got, true);
+    EXPECT_GT(m.int8PackedBytes(), 0u);
+
+    const PackedWeightsInt8 q0(m.layerWeights(0).data(), 1040, 1024);
+    std::vector<std::uint8_t> qscratch;
+    std::vector<float> h0(batch * 1024), h1(batch * 64),
+        want(batch * 8);
+    denseLayerForwardInt8(in.data(), batch, q0, m.layerBias(0).data(),
+                          h0.data(), true, qscratch);
+    denseLayerForwardPacked(h0.data(), batch, m.packedLayer(1),
+                            m.layerBias(1).data(), h1.data(), true);
+    denseLayerForwardPacked(h1.data(), batch, m.packedLayer(2),
+                            m.layerBias(2).data(), want.data(), false);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(float)),
+              0);
+
+    Tensor fp32;
+    m.forward(in, fp32);
+    EXPECT_NE(std::memcmp(got.data(), fp32.data(),
+                          fp32.size() * sizeof(float)),
+              0);
+}
+
+TEST(Mlp, Int8IsTheFp32ForwardWhenNoLayerSpills)
+{
+    Mlp m({256, 128, 128}, 8);
+    for (std::size_t l = 0; l < m.numLayers(); ++l)
+        EXPECT_FALSE(m.int8Layer(l));
+    EXPECT_EQ(m.maxInt8ActivationStride(), 0u);
+    Tensor in(7, 256);
+    in.randomize(2);
+    Tensor fp32, int8;
+    m.forward(in, fp32);
+    m.forward(in, int8, true);
+    ASSERT_EQ(int8.size(), fp32.size());
+    EXPECT_EQ(std::memcmp(int8.data(), fp32.data(),
+                          fp32.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(m.int8PackedBytes(), 0u);
 }
 
 } // namespace
