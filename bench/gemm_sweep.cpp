@@ -5,11 +5,18 @@
  * over coalesced batch sizes m in {1, 4, 16, 64, 128} x the rm2_1/rm1
  * MLP layer shapes, at every SimdLevel the host supports.
  *
+ * The "packed" column runs the tile every production forward runs
+ * (GemmTile{}, the fixed blocking rule). The "kc=K" column runs the
+ * same engine at full depth (no k-chunking), the one alternative the
+ * rule is measured against; "K/rule" is its time over the rule's, so
+ * a value above 1 means the rule is faster.
+ *
  * Prints a GFLOP/s table with per-point speedups and emits
  * BENCH_gemm.json (machine-readable, one record per measured point)
  * into the working directory. Each point also cross-checks the packed
- * output against denseLayerForwardRef and fails the run on divergence,
- * so the GemmSmoke ctest entry guards correctness as well as harness
+ * output against denseLayerForwardRef, and the full-depth output
+ * against the packed one bitwise, and fails the run on divergence, so
+ * the GemmSmoke ctest entry guards correctness as well as harness
  * rot. DLRMOPT_BENCH_QUICK=1 shrinks the grid, not the code paths.
  */
 
@@ -46,8 +53,10 @@ struct Point
     Shape shape{};
     core::SimdLevel level = core::SimdLevel::Scalar;
     double blockedMs = 0.0;
-    double packedMs = 0.0;
-    double maxAbsDiff = 0.0; //!< packed vs denseLayerForwardRef
+    double packedMs = 0.0;    //!< the fixed rule, GemmTile{}
+    double fullDepthMs = 0.0; //!< GemmTile{0, inDim}: kc = K
+    double maxAbsDiff = 0.0;  //!< packed vs denseLayerForwardRef
+    bool fullDepthBitwise = true; //!< kc = K output == rule output
 
     double
     gflops(double ms) const
@@ -103,6 +112,7 @@ measurePoint(std::size_t m, const Shape& shape, core::SimdLevel level,
     w.randomize(mix64(8), 0.1f);
     std::vector<float> bias(shape.outDim, 0.01f);
     std::vector<float> out(m * shape.outDim);
+    std::vector<float> full(m * shape.outDim);
     std::vector<float> ref(m * shape.outDim);
     const core::PackedWeights packed(w.data(), shape.inDim,
                                      shape.outDim);
@@ -117,13 +127,31 @@ measurePoint(std::size_t m, const Shape& shape, core::SimdLevel level,
                                     shape.outDim, out.data(), true);
         },
         flops, reps);
-    p.packedMs = timeMs(
-        [&] {
-            core::denseLayerForwardPackedLevel(level, in.data(), m,
-                                               packed, bias.data(),
-                                               out.data(), true);
-        },
-        flops, reps);
+    // Rule and full depth alternate per repetition, so drift on the
+    // host lands on both columns alike.
+    p.packedMs = p.fullDepthMs = 1e300;
+    for (int r = 0; r < reps; ++r) {
+        p.packedMs = std::min(
+            p.packedMs,
+            timeMs(
+                [&] {
+                    core::denseLayerForwardPackedLevel(
+                        level, in.data(), m, packed, bias.data(),
+                        out.data(), true);
+                },
+                flops, 1));
+        p.fullDepthMs = std::min(
+            p.fullDepthMs,
+            timeMs(
+                [&] {
+                    core::denseLayerForwardPackedLevel(
+                        level, in.data(), m, packed, bias.data(),
+                        full.data(), true,
+                        core::GemmTile{0, shape.inDim});
+                },
+                flops, 1));
+    }
+    p.fullDepthBitwise = full == out;
 
     core::denseLayerForwardRef(in.data(), m, shape.inDim, w.data(),
                                bias.data(), shape.outDim, ref.data(),
@@ -151,11 +179,14 @@ writeJson(const std::vector<Point>& points, const char *path)
             "  {\"m\": %zu, \"in_dim\": %zu, \"out_dim\": %zu, "
             "\"origin\": \"%s\", \"level\": \"%s\", "
             "\"blocked_ms\": %.6f, \"packed_ms\": %.6f, "
+            "\"full_depth_ms\": %.6f, "
             "\"blocked_gflops\": %.3f, \"packed_gflops\": %.3f, "
+            "\"full_depth_gflops\": %.3f, "
             "\"speedup\": %.3f, \"max_abs_diff\": %.3g}%s\n",
             p.m, p.shape.inDim, p.shape.outDim, p.shape.origin,
             core::simdLevelName(p.level).c_str(), p.blockedMs,
-            p.packedMs, p.gflops(p.blockedMs), p.gflops(p.packedMs),
+            p.packedMs, p.fullDepthMs, p.gflops(p.blockedMs),
+            p.gflops(p.packedMs), p.gflops(p.fullDepthMs),
             p.speedup(), p.maxAbsDiff,
             i + 1 < points.size() ? "," : "");
         os << buf;
@@ -195,24 +226,32 @@ main()
     std::vector<Point> points;
     bool ok = true;
     for (const core::SimdLevel level : levels) {
-        std::printf("\n-- %s (packed microtile up to %zu x %u) --\n",
+        std::printf("\n-- %s (packed microtile up to %zu x %zu) --\n",
                     core::simdLevelName(level).c_str(),
                     core::gemmMaxRows(level),
                     core::PackedWeights::panelWidth);
         std::printf("    m   layer shape      origin          "
-                    "blocked GF/s  packed GF/s  speedup\n");
+                    "blocked GF/s  packed GF/s  speedup  kc=K GF/s  "
+                    "K/rule\n");
         for (const Shape& shape : shapes) {
             for (const std::size_t m : ms) {
                 const Point p = measurePoint(m, shape, level, reps);
                 std::printf("  %4zu  %5zu x %-6zu  %-14s  %12.2f  "
-                            "%11.2f  %6.2fx\n",
+                            "%11.2f  %6.2fx  %9.2f  %6.3f\n",
                             p.m, p.shape.inDim, p.shape.outDim,
                             p.shape.origin, p.gflops(p.blockedMs),
-                            p.gflops(p.packedMs), p.speedup());
+                            p.gflops(p.packedMs), p.speedup(),
+                            p.gflops(p.fullDepthMs),
+                            p.fullDepthMs / p.packedMs);
                 if (p.maxAbsDiff > 1e-3) {
                     std::printf("  ^^ FAIL: packed output diverges "
                                 "from reference (max abs diff %g)\n",
                                 p.maxAbsDiff);
+                    ok = false;
+                }
+                if (!p.fullDepthBitwise) {
+                    std::printf("  ^^ FAIL: kc = K output differs "
+                                "from the rule's\n");
                     ok = false;
                 }
                 points.push_back(p);

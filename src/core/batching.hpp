@@ -15,9 +15,9 @@
  * serving layer's deadline-aware BatchQueue exploits. The packed GEMM
  * keeps that guarantee by construction (each output element's fmaf
  * chain is independent of the sample's position, the SimdLevel, and
- * the blocking tile), and its batch-shape-aware tile dispatch
- * (GemmTileCache keyed on the coalesced m) is what the coalesced
- * shapes are tuned for. The fp32 weights are prepacked at model
+ * the blocking tile), and its fixed blocking rule picks the tile
+ * from the coalesced m (full depth at m = 1, L1-sized k-chunks
+ * above). The fp32 weights are prepacked at model
  * construction and the u8·s8 packs of the int8 layers when an int8
  * store reaches the model (DlrmModel::attachQuantizedStore), never
  * inside a dispatch, so the steady-state batched forward performs

@@ -22,7 +22,8 @@ namespace
 {
 
 /** Tile sizes chosen so one (in-tile x out-tile) weight block stays in
- *  L1D alongside the activation rows (blocked baseline kernel). */
+ *  L1D alongside the activation rows (blocked baseline kernel).
+ *  tileIn is also the packed engine's batched k-chunk (see GemmTile). */
 constexpr std::size_t tileIn = 256;
 constexpr std::size_t tileOut = 64;
 
@@ -527,7 +528,11 @@ runPacked(const float *in, std::size_t batch, const PackedWeights& w,
         return;
     std::size_t mr = tile.mr == 0 ? ms.maxMr : tile.mr;
     mr = std::min({mr, ms.maxMr, batch});
-    const std::size_t kc = (tile.kc == 0 || tile.kc > K) ? K : tile.kc;
+    // kc = 0 takes the fixed blocking rule documented at GemmTile.
+    std::size_t kc = tile.kc;
+    if (kc == 0)
+        kc = batch == 1 ? K : std::min(K, tileIn);
+    kc = std::min(kc, K);
 
     for (std::size_t p = 0; p < w.numPanels(); ++p) {
         const std::size_t n0 = p * NR;
@@ -656,119 +661,13 @@ gemmMaxRows(SimdLevel level)
     return microSetFor(level).maxMr;
 }
 
-GemmTile
-defaultGemmTile(std::size_t batch, std::size_t in_dim,
-                std::size_t /*out_dim*/, SimdLevel level)
-{
-    GemmTile t;
-    t.mr = std::min(gemmMaxRows(level),
-                    std::max<std::size_t>(batch, 1));
-    // m = 1 is GEMV-shaped: every panel row is consumed exactly once,
-    // so there is no k-reuse to block for — run the full depth.
-    // Batched m: chunk k so the active kc x panelWidth panel slice
-    // stays L1-resident across the m-tiles that re-stream it.
-    t.kc = batch <= 1 ? in_dim
-                      : std::min<std::size_t>(in_dim, tileIn);
-    return t;
-}
-
-GemmTileCache&
-GemmTileCache::instance()
-{
-    static GemmTileCache cache;
-    return cache;
-}
-
-int
-GemmTileCache::bucketOf(std::size_t batch)
-{
-    if (batch <= 1)
-        return 0;
-    if (batch <= 4)
-        return 1;
-    if (batch <= 16)
-        return 2;
-    if (batch <= 64)
-        return 3;
-    return 4;
-}
-
-std::size_t
-GemmTileCache::bucketRepresentative(int bucket)
-{
-    static constexpr std::size_t reps[numBuckets] = {1, 4, 16, 64, 128};
-    if (bucket < 0)
-        bucket = 0;
-    if (bucket >= numBuckets)
-        bucket = numBuckets - 1;
-    return reps[bucket];
-}
-
-GemmTileCache::Key
-GemmTileCache::keyOf(std::size_t batch, std::size_t in_dim,
-                     std::size_t out_dim, SimdLevel level, EmbDtype dtype)
-{
-    return Key{bucketOf(batch), in_dim, out_dim, static_cast<int>(level),
-               static_cast<int>(dtype)};
-}
-
-GemmTile
-GemmTileCache::lookup(std::size_t batch, std::size_t in_dim,
-                      std::size_t out_dim, SimdLevel level,
-                      EmbDtype dtype) const
-{
-    {
-        std::lock_guard<std::mutex> lock(_mu);
-        const auto it =
-            _tiles.find(keyOf(batch, in_dim, out_dim, level, dtype));
-        if (it != _tiles.end())
-            return it->second;
-    }
-    return defaultGemmTile(batch, in_dim, out_dim, level);
-}
-
-bool
-GemmTileCache::contains(std::size_t batch, std::size_t in_dim,
-                        std::size_t out_dim, SimdLevel level,
-                        EmbDtype dtype) const
-{
-    std::lock_guard<std::mutex> lock(_mu);
-    return _tiles.count(keyOf(batch, in_dim, out_dim, level, dtype)) != 0;
-}
-
-void
-GemmTileCache::install(std::size_t batch, std::size_t in_dim,
-                       std::size_t out_dim, SimdLevel level,
-                       GemmTile tile, EmbDtype dtype)
-{
-    std::lock_guard<std::mutex> lock(_mu);
-    _tiles[keyOf(batch, in_dim, out_dim, level, dtype)] = tile;
-}
-
-std::size_t
-GemmTileCache::size() const
-{
-    std::lock_guard<std::mutex> lock(_mu);
-    return _tiles.size();
-}
-
-void
-GemmTileCache::clear()
-{
-    std::lock_guard<std::mutex> lock(_mu);
-    _tiles.clear();
-}
-
 void
 denseLayerForwardPacked(const float *in, std::size_t batch,
                         const PackedWeights& w, const float *bias,
                         float *out, bool relu)
 {
     const SimdLevel level = currentSimdLevel();
-    runPacked(in, batch, w, bias, out, relu,
-              GemmTileCache::instance().lookup(batch, w.inDim(),
-                                               w.outDim(), level),
-              microSetFor(level));
+    runPacked(in, batch, w, bias, out, relu, {}, microSetFor(level));
 }
 
 void
@@ -786,10 +685,7 @@ denseLayerForwardPackedInt8(const std::uint8_t *qin, std::size_t batch,
                             const float *bias, float *out, bool relu)
 {
     const SimdLevel level = currentSimdLevel();
-    runPackedInt8(qin, batch, w, bias, out, relu,
-                  GemmTileCache::instance().lookup(batch, w.inDim(),
-                                                   w.outDim(), level,
-                                                   EmbDtype::Int8),
+    runPackedInt8(qin, batch, w, bias, out, relu, {},
                   microSetForInt8(level));
 }
 

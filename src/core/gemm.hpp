@@ -35,9 +35,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <tuple>
 #include <vector>
 
 #include "core/quant.hpp"
@@ -250,12 +247,24 @@ class PackedWeightsInt8
 
 /**
  * Register-blocking parameters for one packed dense-layer call.
- * Zero fields mean "use the level/shape default".
+ * Zero fields take the one fixed blocking rule, the tile every
+ * production forward runs:
+ *
+ *  - mr = min(gemmMaxRows(level), batch);
+ *  - kc = in_dim at batch == 1 (GEMV-shaped: every panel row is
+ *    consumed once, so there is no k-reuse to block for), and
+ *    min(in_dim, 256) otherwise, so the active kc x panelWidth panel
+ *    slice stays L1-resident across the m-tiles that re-stream it.
+ *
+ * bench/gemm_sweep's "kc=K" column is the measurement that keeps this
+ * rule (EXPERIMENTS.md, "GEMM blocking rule vs full depth"). Results
+ * do not depend on the tile (see the file comment), so a tile is only
+ * a speed choice.
  */
 struct GemmTile
 {
     std::size_t mr = 0; //!< sample rows per microtile (<= gemmMaxRows)
-    std::size_t kc = 0; //!< k-chunk length (cache blocking; 0 = full depth)
+    std::size_t kc = 0; //!< k-chunk length (>= in_dim: full depth)
 
     bool operator==(const GemmTile&) const = default;
 };
@@ -265,83 +274,12 @@ struct GemmTile
 std::size_t gemmMaxRows(SimdLevel level);
 
 /**
- * Heuristic tile for a (batch, shape, level) point when the cache has
- * no autotuned entry: full-depth GEMV-shaped blocking at batch == 1,
- * L1-sized k-chunks with the widest microtile otherwise.
- */
-GemmTile defaultGemmTile(std::size_t batch, std::size_t in_dim,
-                         std::size_t out_dim, SimdLevel level);
-
-/**
- * Process-wide table of autotuned tiles, keyed by
- * (m-bucket, in_dim, out_dim, SimdLevel, engine dtype). The packed
- * forward consults it on every call (falling back to defaultGemmTile
- * on a miss), and tuneGemmTile() installs winners. Buckets coarsen the
- * batch axis so one tuning pass at a representative m covers the
- * whole bucket: m = 1 | 2-4 | 5-16 | 17-64 | 65+.
- *
- * Lookups are lock-guarded but allocation-free, so steady-state
- * forwards through a warm (or empty) cache stay zero-alloc.
- */
-class GemmTileCache
-{
-  public:
-    static GemmTileCache& instance();
-
-    /** Bucket index (0..4) for a batch size. */
-    static int bucketOf(std::size_t batch);
-
-    /** Representative batch size used to tune bucket @p bucket. */
-    static std::size_t bucketRepresentative(int bucket);
-
-    /** Number of m-buckets. */
-    static constexpr int numBuckets = 5;
-
-    /**
-     * Cached tile for this point, or defaultGemmTile on a miss.
-     * @p dtype keys the u8·s8 engine (Int8) separately from the fp32
-     * kernels: its arithmetic density and panel footprint differ, so
-     * the best mr can too.
-     */
-    GemmTile lookup(std::size_t batch, std::size_t in_dim,
-                    std::size_t out_dim, SimdLevel level,
-                    EmbDtype dtype = EmbDtype::Fp32) const;
-
-    /** True when this exact point has an autotuned entry. */
-    bool contains(std::size_t batch, std::size_t in_dim,
-                  std::size_t out_dim, SimdLevel level,
-                  EmbDtype dtype = EmbDtype::Fp32) const;
-
-    /** Installs @p tile for (bucketOf(batch), shape, level, dtype). */
-    void install(std::size_t batch, std::size_t in_dim,
-                 std::size_t out_dim, SimdLevel level, GemmTile tile,
-                 EmbDtype dtype = EmbDtype::Fp32);
-
-    /** Number of installed entries. */
-    std::size_t size() const;
-
-    /** Drops every entry (testing / re-tuning). */
-    void clear();
-
-  private:
-    using Key = std::tuple<int, std::size_t, std::size_t, int, int>;
-
-    static Key keyOf(std::size_t batch, std::size_t in_dim,
-                     std::size_t out_dim, SimdLevel level,
-                     EmbDtype dtype);
-
-    mutable std::mutex _mu;
-    std::map<Key, GemmTile> _tiles;
-};
-
-/**
  * Packed-weight dense layer: out = act(in * W^T + b) through the
  * register-blocked microkernel engine, dispatched on
- * currentSimdLevel() with the tile from GemmTileCache (autotuned if
- * installed, heuristic otherwise).
+ * currentSimdLevel() with the fixed blocking rule (GemmTile{}).
  *
  * Same degenerate-shape contract as denseLayerForward. Performs no
- * heap allocation.
+ * heap allocation and takes no lock.
  *
  * @param in Input activations, row-major [batch x w.inDim()].
  * @param bias Bias vector of length w.outDim(), or nullptr.
@@ -353,7 +291,7 @@ void denseLayerForwardPacked(const float *in, std::size_t batch,
 
 /**
  * denseLayerForwardPacked with a forced ISA level and explicit tile
- * (testing / ablation / autotuning). Levels above the compiled or
+ * (testing / ablation). Levels above the compiled or
  * detected capability degrade like the other forced kernels
  * (AVX-512 -> AVX2 -> scalar). Results are bitwise-identical across
  * levels and tiles by construction.
@@ -406,7 +344,7 @@ void denseLayerForwardPackedInt8(const std::uint8_t *qin,
                                  bool relu);
 
 /** denseLayerForwardPackedInt8 with a forced ISA level and explicit
- *  tile (testing / ablation / autotuning; only tile.mr matters — the
+ *  tile (testing / ablation; only tile.mr matters — the
  *  integer kernel always runs the full depth). */
 void denseLayerForwardPackedInt8Level(SimdLevel level,
                                       const std::uint8_t *qin,

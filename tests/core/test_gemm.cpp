@@ -4,8 +4,7 @@
  * reference, bias/ReLU handling, a parameterized shape sweep, the
  * packed register-blocked microkernel engine (tolerance vs the
  * reference, bitwise invariance across SimdLevels / tiles / batch
- * position, degenerate shapes), the PackedWeights panel layout, and
- * the GemmTileCache m-bucket table.
+ * position, degenerate shapes) and the PackedWeights panel layout.
  */
 
 #include <gtest/gtest.h>
@@ -283,6 +282,41 @@ TEST(PackedGemm, BitwiseIndependentOfTileChoice)
     }
 }
 
+TEST(PackedGemm, FixedRuleMatchesFullDepthBitwise)
+{
+    // GemmTile{} (the rule every production forward runs) chunks k at
+    // 256 for batched m; full depth is the alternative it is measured
+    // against. Depth 700 spans three chunks, including a partial one.
+    const std::size_t in_dim = 700, out_dim = 37;
+    const auto w = randomVec(out_dim * in_dim, 61);
+    const auto b = randomVec(out_dim, 62);
+    const PackedWeights packed(w.data(), in_dim, out_dim);
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{7}}) {
+        const auto in = randomVec(batch * in_dim, 63);
+        std::vector<float> served(batch * out_dim);
+        denseLayerForwardPacked(in.data(), batch, packed, b.data(),
+                                served.data(), true);
+        for (const SimdLevel level :
+             {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512}) {
+            std::vector<float> rule(batch * out_dim);
+            std::vector<float> full(batch * out_dim);
+            denseLayerForwardPackedLevel(level, in.data(), batch, packed,
+                                         b.data(), rule.data(), true);
+            denseLayerForwardPackedLevel(level, in.data(), batch, packed,
+                                         b.data(), full.data(), true,
+                                         GemmTile{0, in_dim});
+            for (std::size_t i = 0; i < rule.size(); ++i) {
+                ASSERT_EQ(served[i], rule[i])
+                    << "m " << batch << " level "
+                    << static_cast<int>(level) << " at " << i;
+                ASSERT_EQ(full[i], rule[i])
+                    << "m " << batch << " level "
+                    << static_cast<int>(level) << " at " << i;
+            }
+        }
+    }
+}
+
 TEST(PackedGemm, BitwiseIndependentOfBatchPosition)
 {
     // Row r of a coalesced batch must equal the same sample run alone
@@ -368,54 +402,6 @@ TEST(PackedGemm, DegenerateShapes)
         EXPECT_NEAR(got[i], want[i], 1e-3f);
 }
 
-TEST(GemmTileCache, BucketBoundaries)
-{
-    EXPECT_EQ(GemmTileCache::bucketOf(1), 0);
-    EXPECT_EQ(GemmTileCache::bucketOf(2), 1);
-    EXPECT_EQ(GemmTileCache::bucketOf(4), 1);
-    EXPECT_EQ(GemmTileCache::bucketOf(5), 2);
-    EXPECT_EQ(GemmTileCache::bucketOf(16), 2);
-    EXPECT_EQ(GemmTileCache::bucketOf(17), 3);
-    EXPECT_EQ(GemmTileCache::bucketOf(64), 3);
-    EXPECT_EQ(GemmTileCache::bucketOf(65), 4);
-    EXPECT_EQ(GemmTileCache::bucketOf(100000), 4);
-
-    for (int bkt = 0; bkt < GemmTileCache::numBuckets; ++bkt) {
-        EXPECT_EQ(
-            GemmTileCache::bucketOf(GemmTileCache::bucketRepresentative(bkt)),
-            bkt)
-            << "bucket " << bkt;
-    }
-}
-
-TEST(GemmTileCache, InstallLookupAndBucketSharing)
-{
-    auto& cache = GemmTileCache::instance();
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_FALSE(cache.contains(8, 256, 128, SimdLevel::Avx512));
-
-    // A miss falls back to the heuristic.
-    EXPECT_EQ(cache.lookup(8, 256, 128, SimdLevel::Avx512),
-              defaultGemmTile(8, 256, 128, SimdLevel::Avx512));
-
-    const GemmTile tuned{3, 96};
-    cache.install(8, 256, 128, SimdLevel::Avx512, tuned);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_TRUE(cache.contains(8, 256, 128, SimdLevel::Avx512));
-    EXPECT_EQ(cache.lookup(8, 256, 128, SimdLevel::Avx512), tuned);
-
-    // Every batch in the 5-16 bucket shares the entry; neighbors miss.
-    EXPECT_EQ(cache.lookup(5, 256, 128, SimdLevel::Avx512), tuned);
-    EXPECT_EQ(cache.lookup(16, 256, 128, SimdLevel::Avx512), tuned);
-    EXPECT_FALSE(cache.contains(17, 256, 128, SimdLevel::Avx512));
-    EXPECT_FALSE(cache.contains(8, 256, 64, SimdLevel::Avx512));
-    EXPECT_FALSE(cache.contains(8, 256, 128, SimdLevel::Scalar));
-
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-}
-
 /** The quad-interleaved panel (the layout vpdpbusd consumes) must
  *  hold exactly the codes of a per-column symmetric quantization of
  *  the weights (scale maxabs / 127, round to nearest, clamp to
@@ -470,7 +456,7 @@ TEST(PackedWeightsInt8, VnniBitwiseMatchesWideningPath)
     if (detectSimdLevel() != SimdLevel::Avx512 || !cpuHasAvx512Vnni())
         GTEST_SKIP() << "needs AVX512-VNNI";
 
-    for (const auto [in_dim, out_dim, batch] :
+    for (const auto& [in_dim, out_dim, batch] :
          {std::tuple<std::size_t, std::size_t, std::size_t>{64, 32, 8},
           {27, 21, 5},  // odd depth, tail panel, odd batch
           {13, 1, 1},   // GEMV

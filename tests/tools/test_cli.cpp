@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "cli.hpp"
 
 namespace
@@ -119,6 +121,16 @@ TEST(CliRun, UnknownCommandPrintsUsage)
     EXPECT_NE(err.str().find("commands:"), std::string::npos);
 }
 
+TEST(CliRun, TileTunerSubcommandIsGone)
+{
+    // The GEMM runs one fixed blocking rule; the tuner subcommand
+    // falls through to the usage error like any unknown command.
+    std::ostringstream out, err;
+    EXPECT_EQ(run(parse({"gemmtune", "--m", "4"}), out, err), 1);
+    EXPECT_NE(err.str().find("commands:"), std::string::npos);
+    EXPECT_TRUE(out.str().empty());
+}
+
 TEST(CliRun, EvaluateJsonOnTinyModel)
 {
     // rm1 with few sim batches stays fast enough for a unit test.
@@ -168,61 +180,6 @@ TEST(CliRun, ModelAndTraceCountOptionsRejectNegatives)
         "tune", {"--rows", "--dim", "--samples", "--lookups"});
 }
 
-TEST(CliRun, GemmTunePrintsTileTableAndSpeedup)
-{
-    // One small coalesced batch size keeps the real-kernel sweep
-    // unit-test fast while still exercising grid construction, the
-    // baseline comparison, and cache installation for every layer of
-    // both MLPs.
-    std::ostringstream out, err;
-    const int rc = run(parse({"gemmtune", "--model", "rm2_1", "--m",
-                              "4", "--repeats", "1"}),
-                       out, err);
-    EXPECT_EQ(rc, 0) << err.str();
-    const std::string s = out.str();
-    EXPECT_NE(s.find("tile autotune"), std::string::npos);
-    EXPECT_NE(s.find("best tile"), std::string::npos);
-    EXPECT_NE(s.find("speedup"), std::string::npos);
-    EXPECT_NE(s.find("installed"), std::string::npos);
-    // rm2_1 layer shapes appear (bottom 256->128, top final ->1).
-    EXPECT_NE(s.find("256"), std::string::npos);
-}
-
-TEST(CliRun, GemmTuneRejectsBadOptions)
-{
-    std::ostringstream out, err;
-    EXPECT_NE(run(parse({"gemmtune", "--m", "0"}), out, err), 0);
-    EXPECT_NE(run(parse({"gemmtune", "--repeats", "0"}), out, err), 0);
-    EXPECT_NE(run(parse({"gemmtune", "--model", "nope"}), out, err),
-              0);
-}
-
-TEST(CliRun, GemmTuneInt8DtypeTunesTheQuantizedEngine)
-{
-    std::ostringstream out, err;
-    const int rc = run(parse({"gemmtune", "--model", "rm2_1", "--m",
-                              "4", "--repeats", "1", "--dtype",
-                              "int8"}),
-                       out, err);
-    EXPECT_EQ(rc, 0) << err.str();
-    const std::string s = out.str();
-    EXPECT_NE(s.find("tile autotune (int8)"), std::string::npos);
-    EXPECT_NE(s.find("speedup"), std::string::npos);
-    EXPECT_NE(s.find("installed"), std::string::npos);
-}
-
-TEST(CliRun, GemmTuneRejectsNonGemmDtypes)
-{
-    // bf16 is storage-only (the MLPs run fp32 for it); unknown words
-    // are rejected by the shared dtype parser.
-    std::ostringstream out, err;
-    EXPECT_NE(run(parse({"gemmtune", "--dtype", "bf16"}), out, err),
-              0);
-    EXPECT_NE(err.str().find("bf16"), std::string::npos);
-    std::ostringstream o2, e2;
-    EXPECT_NE(run(parse({"gemmtune", "--dtype", "fp64"}), o2, e2), 0);
-}
-
 TEST(CliRun, ServeRunsBaselineAndDegradedSessions)
 {
     // Tiny scaled model + short stream so the real-execution serving
@@ -230,8 +187,8 @@ TEST(CliRun, ServeRunsBaselineAndDegradedSessions)
     // session survives them end to end.
     std::ostringstream out, err;
     const int rc =
-        run(parse({"serve", "--model", "rm1", "--max-bytes",
-                   "2000000", "--batch-size", "4", "--requests", "60",
+        run(parse({"serve", "--model", "rm1", "--batch-size", "4",
+                   "--requests", "60",
                    "--arrival-ms", "2.0", "--sla", "25", "--cores",
                    "2", "--retries", "3", "--fault-exception-rate",
                    "0.05", "--fault-straggler-core", "0",
@@ -258,8 +215,7 @@ TEST(CliRun, ServeRejectsBadOptions)
           {"--cache-epoch-lookups", "-1"},
           {"--cache-min-accesses", "-1"}}) {
         std::ostringstream o, e;
-        EXPECT_EQ(run(parse({"serve", "--model", "rm1", "--max-bytes",
-                             "2000000", "--requests", "4",
+        EXPECT_EQ(run(parse({"serve", "--model", "rm1", "--requests", "4",
                              "--cache-budget", "262144",
                              bad[0].c_str(), bad[1].c_str()}),
                       o, e),
@@ -269,8 +225,8 @@ TEST(CliRun, ServeRejectsBadOptions)
     }
     // A straggler core the instance does not have.
     std::ostringstream o2, e2;
-    EXPECT_EQ(run(parse({"serve", "--model", "rm1", "--max-bytes",
-                         "2000000", "--requests", "4", "--cores", "2",
+    EXPECT_EQ(run(parse({"serve", "--model", "rm1", "--requests", "4",
+                         "--cores", "2",
                          "--fault-straggler-core", "7"}),
                   o2, e2),
               1);
@@ -288,8 +244,8 @@ TEST(CliRun, ServeQuantizedPrecisionFloorCountsEveryDispatch)
     // dispatches.
     std::ostringstream out, err;
     const int rc =
-        run(parse({"serve", "--model", "rm1", "--max-bytes",
-                   "2000000", "--batch-size", "4", "--requests", "40",
+        run(parse({"serve", "--model", "rm1", "--batch-size", "4",
+                   "--requests", "40",
                    "--arrival-ms", "2.0", "--sla", "25", "--cores",
                    "2", "--dtype", "int8", "--seed", "5"}),
             out, err);
@@ -304,8 +260,8 @@ TEST(CliRun, RouterComparesOneInstanceAgainstTheCluster)
 {
     std::ostringstream out, err;
     const int rc =
-        run(parse({"router", "--model", "rm1", "--max-bytes",
-                   "2000000", "--batch-size", "4", "--requests", "60",
+        run(parse({"router", "--model", "rm1", "--batch-size", "4",
+                   "--requests", "60",
                    "--arrival-ms", "2.0", "--sla", "25", "--cores",
                    "2", "--instances", "2", "--straggler-instance",
                    "1", "--straggler-factor", "4.0", "--seed", "5"}),
@@ -340,14 +296,85 @@ TEST(CliRun, RouterRejectsBadOptions)
     expectNegativeCountsRejected("router",
                                  {"--cores", "--instances", "--requests",
                                   "--retries", "--batch-size"});
+    // A straggler instance the fleet does not have (2 by default).
+    for (const char *bad : {"2", "99", "-2"}) {
+        std::ostringstream o, e;
+        EXPECT_EQ(run(parse({"router", "--straggler-instance", bad}), o,
+                      e),
+                  1)
+            << bad;
+        EXPECT_NE(e.str().find("error: --straggler-instance"),
+                  std::string::npos)
+            << bad << ": " << e.str();
+    }
+}
+
+TEST(CliRun, MaxBytesIsRangeChecked)
+{
+    // Every value here is rejected while the options are parsed, so
+    // no model is built. "1000" is below rm1's 64 MiB floor
+    // (4 tables x 65,536 rows), which scaledToFit would silently
+    // exceed.
+    const std::string file = testing::TempDir() + "no-such-dir/m.snap";
+    const std::vector<std::vector<std::string>> cmds = {
+        {"serve"},   {"router"},   {"batch"},
+        {"cache"},   {"chaos"},    {"tenants"},
+        {"snapshot", "save", "--file", file}};
+    for (const auto& cmd : cmds) {
+        for (const char *bad : {"-1", "0", "nan", "inf", "1000"}) {
+            std::vector<const char *> argv = {"dlrmopt"};
+            for (const std::string& a : cmd)
+                argv.push_back(a.c_str());
+            for (const char *a : {"--model", "rm1", "--max-bytes", bad})
+                argv.push_back(a);
+            std::ostringstream out, err;
+            EXPECT_EQ(run(parseArgs(static_cast<int>(argv.size()),
+                                    argv.data()),
+                          out, err),
+                      1)
+                << cmd[0] << " " << bad;
+            EXPECT_NE(err.str().find(std::string("error: --max-bytes ") +
+                                     bad),
+                      std::string::npos)
+                << cmd[0] << " " << bad << ": " << err.str();
+        }
+    }
+    // The floor itself is a budget the model honours: the command
+    // gets past --max-bytes and stops at the next bad option.
+    std::ostringstream out, err;
+    EXPECT_EQ(run(parse({"serve", "--model", "rm1", "--max-bytes",
+                         "67108864", "--requests", "0"}),
+                  out, err),
+              1);
+    EXPECT_NE(err.str().find("--requests"), std::string::npos)
+        << err.str();
+}
+
+TEST(CliRun, MaxBytesAboveThisHostsMemoryIsRejected)
+{
+    // rm2_3 unscaled holds 1e6 rows x 128 x 4 B x 170 tables of
+    // embeddings. --cores 0 stops the command right after parsing if
+    // the memory check ever lets the budget through.
+    const double rm2_3_bytes = 1e6 * 128 * 4 * 170;
+    const double ram = static_cast<double>(sysconf(_SC_PHYS_PAGES)) *
+                       static_cast<double>(sysconf(_SC_PAGESIZE));
+    if (ram <= 0.0 || ram >= rm2_3_bytes)
+        GTEST_SKIP() << "host memory holds the unscaled rm2_3";
+    std::ostringstream out, err;
+    EXPECT_EQ(run(parse({"serve", "--model", "rm2_3", "--max-bytes",
+                         "1e30", "--cores", "0"}),
+                  out, err),
+              1);
+    EXPECT_NE(err.str().find("physical memory"), std::string::npos)
+        << err.str();
 }
 
 TEST(CliRun, BatchComparesUnbatchedAgainstCoalescing)
 {
     std::ostringstream out, err;
     const int rc =
-        run(parse({"batch", "--model", "rm1", "--max-bytes",
-                   "2000000", "--batch-size", "4", "--requests", "80",
+        run(parse({"batch", "--model", "rm1", "--batch-size", "4",
+                   "--requests", "80",
                    "--arrival-ms", "1.0", "--sla", "25", "--cores",
                    "2", "--max-requests", "4", "--linger-ms", "1.0",
                    "--seed", "5"}),
@@ -379,8 +406,8 @@ TEST(CliRun, BatchQuantizedPrecisionFloorRunsEveryRow)
     // every dispatch in every row counts as quantized.
     std::ostringstream out, err;
     const int rc =
-        run(parse({"batch", "--model", "rm1", "--max-bytes",
-                   "2000000", "--batch-size", "4", "--requests", "60",
+        run(parse({"batch", "--model", "rm1", "--batch-size", "4",
+                   "--requests", "60",
                    "--arrival-ms", "1.0", "--sla", "25", "--cores",
                    "2", "--max-requests", "4", "--linger-ms", "1.0",
                    "--dtype", "bf16", "--seed", "5"}),
@@ -421,8 +448,8 @@ TEST(CliRun, ChaosReplaysVerifyOffAndOnPerScenario)
 {
     std::ostringstream out, err;
     const int rc =
-        run(parse({"chaos", "--model", "rm1", "--max-bytes",
-                   "2000000", "--batch-size", "4", "--requests", "60",
+        run(parse({"chaos", "--model", "rm1", "--batch-size", "4",
+                   "--requests", "60",
                    "--arrival-ms", "1.0", "--sla", "25", "--cores",
                    "2", "--instances", "2", "--scenario",
                    "crash-storm", "--seed", "5"}),
@@ -466,8 +493,8 @@ TEST(CliRun, TenantsRunsAWeightedElasticFleetSession)
 {
     std::ostringstream out, err;
     const int rc =
-        run(parse({"tenants", "--tenants", "2", "--max-bytes",
-                   "1000000", "--day-ms", "30", "--arrival-ms", "0.5",
+        run(parse({"tenants", "--tenants", "2", "--day-ms", "30",
+                   "--arrival-ms", "0.5",
                    "--cores", "4", "--instances", "2", "--weights",
                    "2,1", "--elastic", "--min-instances", "1",
                    "--seed", "5"}),
@@ -484,8 +511,8 @@ TEST(CliRun, TenantsReplaysAChaosScenarioConserved)
 {
     std::ostringstream out, err;
     const int rc =
-        run(parse({"tenants", "--tenants", "2", "--max-bytes",
-                   "1000000", "--day-ms", "30", "--arrival-ms", "0.5",
+        run(parse({"tenants", "--tenants", "2", "--day-ms", "30",
+                   "--arrival-ms", "0.5",
                    "--cores", "4", "--instances", "2", "--scenario",
                    "crash-storm", "--seed", "5"}),
             out, err);
@@ -527,8 +554,7 @@ TEST(CliRun, SnapshotSaveVerifyLoadRoundtrip)
 
     std::ostringstream out, err;
     int rc = run(parse({"snapshot", "save", "--file", path.c_str(),
-                        "--model", "rm1", "--max-bytes", "500000",
-                        "--version", "7", "--seed", "9"}),
+                        "--model", "rm1", "--version", "7", "--seed", "9"}),
                  out, err);
     EXPECT_EQ(rc, 0) << err.str();
     EXPECT_NE(out.str().find("v7 (seed 9)"), std::string::npos);
@@ -558,8 +584,7 @@ TEST(CliRun, SnapshotQuantizedRoundtripIsByteIdentical)
     std::ostringstream out, err;
     const int rc =
         run(parse({"snapshot", "roundtrip", "--file", path.c_str(),
-                   "--model", "rm1", "--max-bytes", "500000",
-                   "--dtype", "int8", "--version", "2"}),
+                   "--model", "rm1", "--dtype", "int8", "--version", "2"}),
             out, err);
     EXPECT_EQ(rc, 0) << err.str();
     EXPECT_NE(out.str().find("int8"), std::string::npos);
@@ -595,8 +620,7 @@ TEST(CliRun, CacheReportsPerClassHitRatesAndTotals)
 {
     std::ostringstream out, err;
     const int rc =
-        run(parse({"cache", "--model", "rm1", "--max-bytes",
-                   "2000000", "--cache-budget", "262144",
+        run(parse({"cache", "--model", "rm1", "--cache-budget", "262144",
                    "--batch-size", "4", "--warm-batches", "4",
                    "--batches", "6", "--seed", "3"}),
             out, err);
@@ -617,7 +641,6 @@ TEST(CliRun, CacheRunsAtEveryStoragePrecision)
     for (const char *dt : {"fp32", "bf16", "int8"}) {
         std::ostringstream out, err;
         const int rc = run(parse({"cache", "--model", "rm1",
-                                  "--max-bytes", "2000000",
                                   "--cache-budget", "131072",
                                   "--batch-size", "4",
                                   "--warm-batches", "2", "--batches",
@@ -661,8 +684,8 @@ TEST(CliRun, ServeAttachesAHotTierFromCacheBudget)
 {
     std::ostringstream out, err;
     const int rc =
-        run(parse({"serve", "--model", "rm1", "--max-bytes",
-                   "2000000", "--batch-size", "4", "--requests", "40",
+        run(parse({"serve", "--model", "rm1", "--batch-size", "4",
+                   "--requests", "40",
                    "--arrival-ms", "2.0", "--sla", "25", "--cores",
                    "2", "--cache-budget", "262144",
                    "--cache-epoch-lookups", "200",
@@ -676,8 +699,8 @@ TEST(CliRun, ServeAttachesAHotTierFromCacheBudget)
 
     // Without the option the session reports no tier at all.
     std::ostringstream bare, err2;
-    ASSERT_EQ(run(parse({"serve", "--model", "rm1", "--max-bytes",
-                         "2000000", "--batch-size", "4", "--requests",
+    ASSERT_EQ(run(parse({"serve", "--model", "rm1", "--batch-size", "4",
+                         "--requests",
                          "20", "--arrival-ms", "2.0", "--cores", "2",
                          "--seed", "5"}),
                   bare, err2),
@@ -690,8 +713,8 @@ TEST(CliRun, BatchAttachesAHotTierFromCacheBudget)
 {
     std::ostringstream out, err;
     const int rc =
-        run(parse({"batch", "--model", "rm1", "--max-bytes",
-                   "2000000", "--batch-size", "4", "--requests", "40",
+        run(parse({"batch", "--model", "rm1", "--batch-size", "4",
+                   "--requests", "40",
                    "--arrival-ms", "1.0", "--sla", "25", "--cores",
                    "2", "--max-requests", "4", "--linger-ms", "1.0",
                    "--cache-budget", "262144",

@@ -6,11 +6,13 @@
 #include <cstring>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
+#include <unistd.h>
+
 #include "core/autotune.hpp"
-#include "core/simd.hpp"
 #include "core/dlrm.hpp"
 #include "core/embedding_store.hpp"
 #include "core/errors.hpp"
@@ -497,79 +499,6 @@ cmdTune(const ParsedArgs& args, std::ostream& out)
     return 0;
 }
 
-int
-cmdGemmTune(const ParsedArgs& args, std::ostream& out)
-{
-    // Sweeps register-blocking tiles for every MLP layer shape of the
-    // chosen model across the coalesced-batch buckets, installs the
-    // winners in the process-wide GemmTileCache, and reports each
-    // point's speedup over the scalar blocked baseline kernel.
-    const auto model = core::modelByName(args.get("model", "rm2_1"));
-    const int repeats =
-        static_cast<int>(args.getInt("repeats", 3));
-    const std::uint64_t seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 1));
-    if (repeats < 1)
-        throw std::invalid_argument("--repeats must be >= 1");
-    const core::EmbDtype dtype = parseDtypeOption(args);
-    if (dtype == core::EmbDtype::Bf16) {
-        throw std::invalid_argument(
-            "--dtype bf16: bf16 is an embedding-storage format; the "
-            "MLPs run the fp32 GEMM engine for it — tune fp32 or "
-            "int8");
-    }
-
-    std::vector<std::size_t> batches;
-    if (args.has("m")) {
-        const long m = args.getInt("m", 0);
-        if (m < 1)
-            throw std::invalid_argument("--m must be >= 1");
-        batches.push_back(static_cast<std::size_t>(m));
-    } else if (args.has("quick")) {
-        batches = {1, 16};
-    }
-
-    const auto level = core::currentSimdLevel();
-    out << model.name << " MLP tile autotune ("
-        << core::embDtypeName(dtype) << ") @ "
-        << core::simdLevelName(level) << " (panel width "
-        << core::PackedWeights::panelWidth << ", max microtile rows "
-        << core::gemmMaxRows(level) << ")\n";
-    out << "    m   layer shape        best tile      packed ms  "
-           "blocked ms  speedup\n";
-
-    double prod = 1.0;
-    std::size_t points = 0;
-    for (const bool bottom : {true, false}) {
-        const auto dims =
-            bottom ? model.bottomMlp : model.topMlpDims();
-        const auto results =
-            core::tuneMlpGemm(dims, batches, repeats, seed, dtype);
-        for (const auto& r : results) {
-            char buf[160];
-            std::snprintf(buf, sizeof(buf),
-                          "  %4zu  %6zu x %-6zu  mr %zu kc %-6zu "
-                          "%9.4f  %10.4f  %6.2fx\n",
-                          r.batch, r.inDim, r.outDim, r.best.mr,
-                          r.best.kc, r.bestMs, r.baselineMs,
-                          r.speedup());
-            out << buf;
-            prod *= r.speedup();
-            ++points;
-        }
-    }
-    if (points > 0) {
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      "%zu tile(s) installed; geomean speedup over "
-                      "scalar blocked baseline %.2fx\n",
-                      core::GemmTileCache::instance().size(),
-                      std::pow(prod, 1.0 / static_cast<double>(points)));
-        out << buf;
-    }
-    return 0;
-}
-
 /** The one tenant a single-tenant fleet serves: @p model at --sla,
  *  with the virtual clock priced by the same --service-ms model
  *  admission estimates with. */
@@ -641,15 +570,66 @@ clusterConfig(const ParsedArgs& args, std::size_t instances,
     return cfg;
 }
 
+/** Bytes of physical memory on this host (infinite when unknown). */
+double
+physicalMemoryBytes()
+{
+    const long pages = sysconf(_SC_PHYS_PAGES);
+    const long page = sysconf(_SC_PAGESIZE);
+    if (pages <= 0 || page <= 0)
+        return std::numeric_limits<double>::infinity();
+    return static_cast<double>(pages) * static_cast<double>(page);
+}
+
+/**
+ * @p base scaled down to the --max-bytes embedding budget.
+ *
+ * scaledToFit never goes below 4 tables x 65,536 rows, so an explicit
+ * budget under that floor would be silently exceeded; it is rejected
+ * instead, as is a non-positive or non-finite budget and a model
+ * larger than physical memory. Without the option, @p fallback is
+ * only a size hint and the command runs at the floor when that is
+ * larger.
+ */
+core::ModelConfig
+scaledModel(const core::ModelConfig& base, const ParsedArgs& args,
+            double fallback)
+{
+    if (!args.has("max-bytes"))
+        return base.scaledToFit(fallback);
+    const double budget = args.getDouble("max-bytes", fallback);
+    const std::string given = "--max-bytes " + args.get("max-bytes");
+    if (!std::isfinite(budget) || budget <= 0.0) {
+        throw std::invalid_argument(given +
+                                    ": want a positive byte count");
+    }
+    const core::ModelConfig model = base.scaledToFit(budget);
+    const double bytes = model.embeddingBytes();
+    if (bytes > budget) {
+        throw std::invalid_argument(
+            given + ": " + base.name + " scales down to no less than " +
+            std::to_string(static_cast<std::size_t>(bytes)) +
+            " bytes (" + std::to_string(model.tables) + " tables x " +
+            std::to_string(model.rows) + " rows)");
+    }
+    if (bytes > physicalMemoryBytes()) {
+        throw std::invalid_argument(
+            given + ": " + model.name + " needs " +
+            std::to_string(static_cast<std::size_t>(bytes)) +
+            " bytes of embeddings, more than this host's physical "
+            "memory");
+    }
+    return model;
+}
+
 int
 cmdServe(const ParsedArgs& args, std::ostream& out)
 {
     // A scaled-down Table 2 model that really executes on this host,
     // served alone on a one-instance fleet.
-    const auto base = core::modelByName(args.get("model", "rm2_1"));
-    const double max_bytes =
-        args.getDouble("max-bytes", 64.0 * (1u << 20));
-    const auto cfg_model = base.scaledToFit(max_bytes);
+    const auto cfg_model =
+        scaledModel(core::modelByName(args.get("model", "rm2_1")), args,
+                    64.0 * (1u << 20));
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
 
@@ -731,10 +711,9 @@ cmdRouter(const ParsedArgs& args, std::ostream& out)
     // to apples.
     rejectRemoved(args, {"policy", "failovers"},
                   "the Router's routing policies and failover");
-    const auto base = core::modelByName(args.get("model", "rm2_1"));
-    const double max_bytes =
-        args.getDouble("max-bytes", 64.0 * (1u << 20));
-    const auto cfg_model = base.scaledToFit(max_bytes);
+    const auto cfg_model =
+        scaledModel(core::modelByName(args.get("model", "rm2_1")), args,
+                    64.0 * (1u << 20));
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
 
@@ -749,6 +728,13 @@ cmdRouter(const ParsedArgs& args, std::ostream& out)
     }
     if (requests == 0)
         throw std::invalid_argument("--requests must be >= 1");
+    const long straggler_inst = args.getInt("straggler-instance", -1);
+    if (straggler_inst < -1 ||
+        straggler_inst >= static_cast<long>(instances)) {
+        throw std::invalid_argument(
+            "--straggler-instance must be -1 (none) or 0..instances-1, "
+            "got " + std::to_string(straggler_inst));
+    }
 
     traces::TraceConfig tc = traces::TraceConfig::forModel(
         cfg_model, parseHotness(args.get("hotness", "medium")), seed);
@@ -768,16 +754,13 @@ cmdRouter(const ParsedArgs& args, std::ostream& out)
 
     // Optional straggler instance: a fault phase from t=0 slowing
     // local core 0 of the afflicted instance.
-    const int straggler_inst =
-        static_cast<int>(args.getInt("straggler-instance", -1));
     std::vector<serve::FaultPhase> phases;
-    if (straggler_inst >= 0 &&
-        straggler_inst < static_cast<int>(instances)) {
+    if (straggler_inst >= 0) {
         serve::FaultConfig fc;
         fc.seed = seed;
         fc.stragglerCore = 0;
         fc.stragglerFactor = args.getDouble("straggler-factor", 4.0);
-        phases.push_back({0.0, straggler_inst, fc});
+        phases.push_back({0.0, static_cast<int>(straggler_inst), fc});
     }
     const serve::FaultSchedule straggler(std::move(phases), {}, {});
     const auto topo = sched::Topology::synthetic(cores, 2);
@@ -823,10 +806,9 @@ cmdBatch(const ParsedArgs& args, std::ostream& out)
     // variable is the batching policy.
     rejectRemoved(args, {"streamed", "gather-fraction"},
                   "the streamed serving mode");
-    const auto base = core::modelByName(args.get("model", "rm2_1"));
-    const double max_bytes =
-        args.getDouble("max-bytes", 64.0 * (1u << 20));
-    const auto cfg_model = base.scaledToFit(max_bytes);
+    const auto cfg_model =
+        scaledModel(core::modelByName(args.get("model", "rm2_1")), args,
+                    64.0 * (1u << 20));
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
 
@@ -927,10 +909,9 @@ cmdCache(const ParsedArgs& args, std::ostream& out)
     // class's hit rate next to occupancy and promotion/demotion
     // totals. The per-class loop doubles as a drift demo: each class
     // rotates the hot set and the epoch re-converges the tier.
-    const auto base = core::modelByName(args.get("model", "rm2_1"));
-    const double max_bytes =
-        args.getDouble("max-bytes", 16.0 * (1u << 20));
-    const auto cfg_model = base.scaledToFit(max_bytes);
+    const auto cfg_model =
+        scaledModel(core::modelByName(args.get("model", "rm2_1")), args,
+                    16.0 * (1u << 20));
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
     const core::EmbDtype dtype = parseDtypeOption(args);
@@ -1035,10 +1016,9 @@ cmdChaos(const ParsedArgs& args, std::ostream& out)
     // a fresh store, so corruption never leaks across runs.
     rejectRemoved(args, {"policy", "failovers"},
                   "the Router's routing policies and failover");
-    const auto base = core::modelByName(args.get("model", "rm2_1"));
-    const double max_bytes =
-        args.getDouble("max-bytes", 64.0 * (1u << 20));
-    const auto cfg_model = base.scaledToFit(max_bytes);
+    const auto cfg_model =
+        scaledModel(core::modelByName(args.get("model", "rm2_1")), args,
+                    64.0 * (1u << 20));
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
 
@@ -1119,8 +1099,6 @@ cmdTenants(const ParsedArgs& args, std::ostream& out)
     const std::size_t n_tenants = args.getCount("tenants", 3);
     if (n_tenants < 2 || n_tenants > 4)
         throw std::invalid_argument("--tenants must be 2..4");
-    const double max_bytes =
-        args.getDouble("max-bytes", 4.0 * (1u << 20));
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
     const double day_ms = args.getDouble("day-ms", 60.0);
@@ -1161,7 +1139,8 @@ cmdTenants(const ParsedArgs& args, std::ostream& out)
     for (std::size_t k = 0; k < n_tenants; ++k) {
         serve::TenantConfig tc;
         tc.name = presets[k];
-        tc.model = core::modelByName(presets[k]).scaledToFit(max_bytes);
+        tc.model = scaledModel(core::modelByName(presets[k]), args,
+                               4.0 * (1u << 20));
         tc.slaMs = sla_ms;
         tc.weight = weights[k];
         tc.admissionBudget = budget;
@@ -1338,10 +1317,9 @@ cmdSnapshot(const ParsedArgs& args, std::ostream& out)
             "snapshot wants save|verify|load|roundtrip");
     }
 
-    const auto base = core::modelByName(args.get("model", "rm2_1"));
-    const double max_bytes =
-        args.getDouble("max-bytes", 64.0 * (1u << 20));
-    const auto cfg_model = base.scaledToFit(max_bytes);
+    const auto cfg_model =
+        scaledModel(core::modelByName(args.get("model", "rm2_1")), args,
+                    64.0 * (1u << 20));
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 42));
     const std::uint64_t version =
@@ -1399,8 +1377,6 @@ usage()
            "  trace gen|info [options]    generate / inspect traces\n"
            "  tune [options]              auto-tune prefetching on "
            "this host\n"
-           "  gemmtune [options]          auto-tune GEMM blocking "
-           "tiles on this host\n"
            "  serve [options]             fault-tolerant serving "
            "session (real execution)\n"
            "  router [options]            one vs N instances "
@@ -1427,18 +1403,13 @@ usage()
            "  --pf-distance N --pf-amount N --pf-hint T0|T1|T2\n"
            "  --format text|csv|json\n"
            "\n"
-           "gemmtune options:\n"
-           "  --model NAME --repeats N --seed N\n"
-           "  --m N (tune one coalesced batch size; default: one "
-           "per m-bucket)\n"
-           "  --quick (m in {1,16} only)\n"
-           "  --dtype fp32|int8 (fp32 packed engine or the u8·s8 "
-           "quantized engine)\n"
-           "\n"
            "serve options:\n"
            "  --arrival-ms X --requests N --sla X --service-ms X\n"
            "  --cores N --retries N --no-admission --batch-size N\n"
-           "  --max-bytes X (embedding scale-down budget)\n"
+           "  --max-bytes X (embedding scale-down budget; at least the "
+           "model's floor\n"
+           "                 of 4 tables x 65,536 rows: 64 MiB rm1, "
+           "128 MiB rm2_*)\n"
            "  --dtype fp32|bf16|int8 (serving precision floor; "
            "quantized store attached)\n"
            "  --fault-exception-rate P --fault-alloc-rate P\n"
@@ -1503,8 +1474,6 @@ run(const ParsedArgs& args, std::ostream& out, std::ostream& err)
             return cmdTrace(args, out, err);
         if (args.command == "tune")
             return cmdTune(args, out);
-        if (args.command == "gemmtune")
-            return cmdGemmTune(args, out);
         if (args.command == "serve")
             return cmdServe(args, out);
         if (args.command == "router")

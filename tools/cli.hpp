@@ -11,9 +11,6 @@
  *   sweep --vary <axis> [...]   CSV sweep over one axis
  *   trace gen|info [...]        generate / inspect binary traces
  *   tune [options]              real-host prefetch auto-tune
- *   gemmtune [options]          real-host GEMM blocking-tile
- *                               auto-tune over a model's MLP shapes
- *                               (--dtype fp32|int8 picks the engine)
  *   serve [options]             fault-tolerant serving session with
  *                               admission control, retries, optional
  *                               fault injection and degradation
